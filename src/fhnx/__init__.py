@@ -11,7 +11,6 @@ from .core import (
     ConfigError,
     CflViolation,
     ConvergenceError,
-    FieldPair,
     FhnxError,
     Grid,
     InsufficientSignal,
@@ -22,21 +21,16 @@ from .core import (
     SingularParameter,
     g,
     g_prime,
-    validate_params,
 )
-from .simulate import SimConfig, convergence_study, run, step
+from .simulate import SimConfig, convergence_study, run
 from .solutions import (
     FAMILY_TAGS,
     FixedPoint,
     eval_fixed_point_closed_form,
-    eval_jacobisn_steady,
-    eval_nonclassical,
-    eval_tanh_front,
     family_catalog,
     fixed_points,
     make_family,
     nonclassical_k,
-    solve_F_ode,
 )
 from .specfn import jacobi_cn_dn, jacobi_sn
 from .stability import classify, dispersion_sweep, jacobian_at
@@ -56,7 +50,6 @@ __all__ = [
     "ConfigError",
     "CflViolation",
     "ConvergenceError",
-    "FieldPair",
     "FhnxError",
     "Grid",
     "InsufficientSignal",
@@ -67,22 +60,16 @@ __all__ = [
     "SingularParameter",
     "g",
     "g_prime",
-    "validate_params",
     "SimConfig",
     "convergence_study",
     "run",
-    "step",
     "FAMILY_TAGS",
     "FixedPoint",
     "eval_fixed_point_closed_form",
-    "eval_jacobisn_steady",
-    "eval_nonclassical",
-    "eval_tanh_front",
     "family_catalog",
     "fixed_points",
     "make_family",
     "nonclassical_k",
-    "solve_F_ode",
     "jacobi_cn_dn",
     "jacobi_sn",
     "classify",

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .core import ConfigError, Grid, Params
 from .simulate import SimConfig
-from .solutions import FAMILY_TAGS, SolutionFamily, make_family
+from .solutions import SolutionFamily, family_catalog, make_family
 
 __all__ = ["RunConfig", "load_config", "SCHEMA"]
 
@@ -97,14 +97,6 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     },
 }
 
-_FAMILY_CONSTANTS = {
-    "TanhFrontPlus": ("x0",),
-    "TanhFrontMinus": ("x0",),
-    "JacobiSnSteady": ("c1", "c2"),
-    "NonClassicalExp": ("c1", "c2"),
-}
-
-
 def _coerce(section: str, key: str, raw: str):
     kind, _ = SCHEMA[section][key]
     try:
@@ -137,12 +129,13 @@ class RunConfig:
     def family(self, p: Params | None = None) -> SolutionFamily:
         s = self.section("family")
         tag = s["tag"]
-        if tag not in FAMILY_TAGS:
+        catalog = family_catalog()
+        if tag not in catalog:
             raise ConfigError(
-                f"unknown family tag {tag!r}; known: {', '.join(FAMILY_TAGS)}"
+                f"unknown family tag {tag!r}; known: {', '.join(catalog)}"
             )
         p = p if p is not None else self.params()
-        constants = {key: s[key] for key in _FAMILY_CONSTANTS.get(tag, ())}
+        constants = {key: s[key] for key in catalog[tag]["constant_names"]}
         return make_family(tag, p, **constants)
 
     def grid(self) -> Grid:

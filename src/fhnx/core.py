@@ -9,8 +9,8 @@ with real constants D, epsilon, beta > 0 and an optional constant forcing c
 in the slow equation (c defaults to 0; only operators whose formulas carry c
 honor a nonzero value).  Everything downstream, the exact solution catalog,
 the residual checks, the stability analysis and the finite-difference
-solver, shares the parameter container, grids, field pairs and the
-complex-scalar helpers defined here.
+solver, shares the parameter container, grids and the complex-scalar
+helpers defined here.
 
 Complex scalars are plain Python ``complex`` values.  All multivalued
 operations (square root, cube root) use principal branches; several closed
@@ -22,10 +22,9 @@ when ``|Im z| <= tol * max(1, |Re z|)`` with ``tol = 1e-9`` by default.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +44,10 @@ __all__ = [
     "REAL_TOL",
     "Params",
     "Grid",
-    "FieldPair",
-    "validate_params",
     "g",
     "g_prime",
     "csqrt",
     "ccbrt",
-    "cexp",
     "is_effectively_real",
     "require_real",
     "worker_count",
@@ -124,11 +120,7 @@ class CflViolation(ConfigError):
 
 @dataclass(frozen=True)
 class Params:
-    """Model constants D, epsilon, beta (> 0) and optional forcing c.
-
-    ``degenerate`` flags beta = 1, where the three isolated fixed points
-    coalesce into a triple root at u = 0.
-    """
+    """Model constants D, epsilon, beta (> 0) and optional forcing c."""
 
     D: float
     epsilon: float
@@ -144,29 +136,6 @@ class Params:
                 raise NonPositiveParameter(name, value)
         if not math.isfinite(self.c):
             raise ConfigError(f"forcing c must be finite, got {self.c!r}")
-
-    @property
-    def degenerate(self) -> bool:
-        return abs(self.beta - 1.0) <= 1e-12
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Params":
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Params":
-        return cls.from_dict(json.loads(text))
-
-
-def validate_params(D: float, epsilon: float, beta: float, c: float = 0.0) -> Params:
-    """Build Params, rejecting non-positive D, epsilon or beta."""
-    return Params(D=D, epsilon=epsilon, beta=beta, c=c)
 
 
 @dataclass(frozen=True)
@@ -223,30 +192,6 @@ class Grid:
         return np.meshgrid(self.ts(), self.xs(), indexing="ij")
 
 
-def _locked(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class FieldPair:
-    """Paired u, v samples of identical shape with finite entries."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        u = _locked(self.u)
-        v = _locked(self.v)
-        if u.shape != v.shape:
-            raise ConfigError(f"u and v shapes differ: {u.shape} vs {v.shape}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ConfigError("field pair contains non-finite entries")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-
 def g(u):
     """Cubic reaction term of the fast equation."""
     u = np.asarray(u, dtype=float) if isinstance(u, np.ndarray) else u
@@ -274,11 +219,6 @@ def ccbrt(z) -> complex:
     if z == 0:
         return 0j
     return cmath.exp(cmath.log(z) / 3.0)
-
-
-def cexp(z) -> complex:
-    """Complex exponential."""
-    return cmath.exp(z)
 
 
 def is_effectively_real(z, tol: float = REAL_TOL) -> bool:

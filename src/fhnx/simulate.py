@@ -37,7 +37,6 @@ from .core import (
     BlowUp,
     CflViolation,
     ConfigError,
-    FieldPair,
     Grid,
     InsufficientSignal,
     Params,
@@ -49,7 +48,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "ConvergenceStudy",
-    "step",
     "run",
     "convergence_study",
     "write_frames",
@@ -233,20 +231,6 @@ class _Stepper:
             un = self._solver.solve(rhs_u)
         self._boundary((un, vn), t + dt)
         return un, vn
-
-
-def step(
-    state: FieldPair,
-    p: Params,
-    cfg: SimConfig,
-    t: float = 0.0,
-    family: SolutionFamily | None = None,
-) -> FieldPair:
-    """Advance one dt.  Boundaries per cfg; BlowUp above the 1e6 bound."""
-    stepper = _Stepper(p, cfg, family)
-    u, v = stepper.advance(np.array(state.u, dtype=float), np.array(state.v, dtype=float), t)
-    _check_blowup(u, v, 0, t + cfg.grid.dt)
-    return FieldPair(u=u, v=v)
 
 
 def _check_blowup(u: np.ndarray, v: np.ndarray, step_index: int, t: float):

@@ -24,10 +24,11 @@ point of its validity region:
   steady-state assumption, which is recorded in every report.
 * ``NonClassicalExp``: the separable family
   u = exp(-eps beta t / 3) (c1 exp(-k x) + c2 exp(k x)) with
-  k**2 = (9 - 6 beta - 2 eps beta**2) / (6 beta D).  k may be purely
-  imaginary (it is for the benchmark parameter set), in which case the
-  spatial factor is rewritten as (c1 + c2) cos(|k| x) + i (c2 - c1)
-  sin(|k| x) and the result must be effectively real.
+  k**2 = (9 - 6 beta - 2 eps beta**2) / (6 beta D) and
+  v = 3 u / (2 beta) - u**3 / 3.  k may be purely imaginary (it is for
+  the benchmark parameter set), in which case the spatial factor is
+  rewritten as (c1 + c2) cos(|k| x) + i (c2 - c1) sin(|k| x) and the
+  result must be effectively real.
 
 The independent ground truth for fixed points is a depressed-cubic solver
 (exact factoring when the constant term vanishes, trigonometric/Cardano
@@ -61,18 +62,15 @@ __all__ = [
     "FAMILY_TAGS",
     "FIXED_POINT_TAGS",
     "FixedPoint",
-    "FamilyEval",
     "solve_depressed_cubic",
     "fixed_points",
     "eval_fixed_point_closed_form",
     "closed_form_root_match",
     "nonclassical_k",
     "nonclassical_k_squared",
-    "NonClassicalAnsatz",
     "SYMMETRY_GENERATORS",
     "symmetry_catalog",
     "solve_F_exponent",
-    "solve_F_ode",
     "sample_F",
     "FSamples",
     "SolutionFamily",
@@ -82,9 +80,6 @@ __all__ = [
     "NonClassicalExp",
     "make_family",
     "family_catalog",
-    "eval_tanh_front",
-    "eval_jacobisn_steady",
-    "eval_nonclassical",
 ]
 
 FIXED_POINT_TAGS = (
@@ -111,17 +106,6 @@ class FixedPoint(NamedTuple):
     u: float
     v: float
     multiplicity: int = 1
-
-
-class FamilyEval(NamedTuple):
-    """One-shot evaluation bundle: values plus first-order derivatives."""
-
-    u: float | np.ndarray
-    v: float | np.ndarray
-    u_t: float | np.ndarray
-    u_x: float | np.ndarray
-    u_xx: float | np.ndarray
-    v_t: float | np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -336,45 +320,6 @@ def solve_F_exponent(p: Params, A: float, B: float) -> complex:
     return csqrt(rad) / (A * math.sqrt(D) * csqrt(e * b + A))
 
 
-def solve_F_ode(p: Params, A: float, B: float, c1: float, c2: float, x) -> complex | np.ndarray:
-    """Spatial profile F(x) = c1 exp(E x) + c2 exp(-E x) of the ansatz."""
-    E = solve_F_exponent(p, A, B)
-    x = np.asarray(x, dtype=float)
-    out = c1 * np.exp(E * x) + c2 * np.exp(-E * x)
-    return complex(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class NonClassicalAnsatz:
-    """Constants of the separable ansatz u = (exp(A t) F(x) A - B) / A.
-
-    The solved branch has A = -eps beta / 3 and B = 0, with the spatial
-    profile F(x) = c1 exp(-k x) + c2 exp(k x) and k**2 equal to the
-    simplified closed form to 1e-12 relative.
-    """
-
-    A: float
-    B: float
-    k: complex
-    c1: float
-    c2: float
-
-    @classmethod
-    def solved_branch(cls, p: Params, c1: float = 1.0, c2: float = 1.0) -> "NonClassicalAnsatz":
-        A = -p.epsilon * p.beta / 3.0
-        k = nonclassical_k(p)
-        return cls(A=A, B=0.0, k=k, c1=float(c1), c2=float(c2))
-
-    def check(self, p: Params) -> None:
-        """Raise unless this is the solved branch for p."""
-        A_expected = -p.epsilon * p.beta / 3.0
-        if abs(self.A - A_expected) > 1e-12 * max(1.0, abs(A_expected)) or self.B != 0.0:
-            raise FhnxError("not the solved ansatz branch: need A = -eps*beta/3, B = 0")
-        k2 = nonclassical_k_squared(p)
-        if abs(self.k**2 - k2) > 1e-12 * max(1.0, abs(k2)):
-            raise FhnxError("ansatz wavenumber disagrees with the closed form")
-
-
 # Conditional symmetry generators admitted by the third-order reduction.
 # Only the last one (eta linear in u) carries the solution family built
 # above; the traveling generators have imaginary speed for positive
@@ -436,21 +381,6 @@ class SolutionFamily:
         """(u_tt, u_txx); zero for steady families, closed form otherwise."""
         raise NotImplementedError
 
-    def eval_bundle(self, t, x) -> FamilyEval:
-        u, v = self.eval(t, x)
-        u_t, u_x, u_xx, v_t = self.eval_derivs(t, x)
-        return FamilyEval(u, v, u_t, u_x, u_xx, v_t)
-
-    def constants(self) -> dict:
-        return {}
-
-    def describe(self) -> dict:
-        info = dict(_CATALOG[self.tag])
-        info["tag"] = self.tag
-        info["constants"] = self.constants()
-        return info
-
-
 def _broadcast(t, x):
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -480,9 +410,6 @@ class FixedPointState(SolutionFamily):
         tt, _ = _broadcast(t, x)
         z = np.zeros(tt.shape)
         return z, z.copy()
-
-    def constants(self) -> dict:
-        return {"u_star": self.u_star, "v_star": self.v_star}
 
 
 def _fixed_point_family(p: Params, tag: str) -> FixedPointState:
@@ -559,9 +486,6 @@ class TanhFront(SolutionFamily):
         tt, _ = _broadcast(t, x)
         z = np.zeros(tt.shape)
         return z, z.copy()
-
-    def constants(self) -> dict:
-        return {"sign": self.sign, "x0": self.x0}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -647,9 +571,6 @@ class JacobiSnSteady(SolutionFamily):
         z = np.zeros(tt.shape)
         return z, z.copy()
 
-    def constants(self) -> dict:
-        return {"c1": self.c1, "c2": self.c2}
-
 
 @dataclass(frozen=True, kw_only=True)
 class NonClassicalExp(SolutionFamily):
@@ -657,9 +578,11 @@ class NonClassicalExp(SolutionFamily):
 
     A = -eps beta / 3.  For imaginary k the spatial factor is rewritten as
     (c1 + c2) cos(|k| x) + i (c2 - c1) sin(|k| x); evaluation demands an
-    effectively real result and raises ComplexResult otherwise.  v is
-    evaluated from its literal closed form (a cubic bracket in the
-    exponentials divided by 6 beta e^{3 A t} e^{3 k x}).
+    effectively real result and raises ComplexResult otherwise.  The
+    paper's v, a cubic bracket in the exponentials divided by
+    6 beta e^{3 A t} e^{3 k x}, reduces exactly to v = 3u/(2 beta) - u**3/3,
+    which is evaluated in real arithmetic and stays finite wherever u**3
+    does.
     """
 
     params: Params
@@ -708,25 +631,7 @@ class NonClassicalExp(SolutionFamily):
         tt, xx = _broadcast(t, x)
         s, _ = self._space(xx)
         u = np.exp(self.decay_rate * tt) * s
-        return u, self._v_literal(tt, xx)
-
-    def _v_literal(self, tt, xx):
-        """Literal bracket form of v, complex intermediates, real result."""
-        p = self.params
-        c1, c2 = self.c1, self.c2
-        b = p.beta
-        P = np.exp(self.k * xx.astype(complex))
-        E = np.exp(p.epsilon * b * tt / 3.0).astype(complex)
-        bracket = (
-            2.0 * P**6 * c2**3 * b
-            + 6.0 * P**4 * c1 * c2**2 * b
-            - 9.0 * P**4 * E**2 * c2
-            + 6.0 * P**2 * c1**2 * c2 * b
-            - 9.0 * P**2 * E**2 * c1
-            + 2.0 * c1**3 * b
-        )
-        v = -bracket / (6.0 * b * E**3 * P**3)
-        return require_real(v, REAL_TOL, "recovery variable of the exponential family")
+        return u, u * (1.5 / self.params.beta - u * u / 3.0)
 
     def eval_derivs(self, t, x):
         tt, xx = _broadcast(t, x)
@@ -745,9 +650,6 @@ class NonClassicalExp(SolutionFamily):
         u = np.exp(self.decay_rate * tt) * s
         a = self.decay_rate
         return a * a * u, a * self.k_squared * u
-
-    def constants(self) -> dict:
-        return {"c1": self.c1, "c2": self.c2}
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +712,7 @@ _CATALOG = {
     },
     "NonClassicalExp": {
         "formula": "u = exp(-eps beta t/3) (c1 e^{-kx} + c2 e^{kx}), "
-        "k**2 = (9 - 6 beta - 2 eps beta**2)/(6 beta D); v from its cubic bracket",
+        "k**2 = (9 - 6 beta - 2 eps beta**2)/(6 beta D); v = 3u/(2 beta) - u**3/3",
         "constant_names": ["c1", "c2"],
         "domain": "any valid parameters; imaginary k needs c1 = c2 for a real u",
         "steady": False,
@@ -847,24 +749,3 @@ def make_family(tag: str, p: Params, **constants) -> SolutionFamily:
     return NonClassicalExp(
         params=p, c1=constants.get("c1", 1.0), c2=constants.get("c2", 1.0)
     )
-
-
-# ---------------------------------------------------------------------------
-# Operation-style wrappers
-# ---------------------------------------------------------------------------
-
-
-def eval_tanh_front(p: Params, sign: int, x0: float, t, x) -> FamilyEval:
-    """Front evaluation bundle; u = -sign * a tanh(b (x + x0))."""
-    return TanhFront(params=p, sign=sign, x0=x0).eval_bundle(t, x)
-
-
-def eval_jacobisn_steady(p: Params, c1: float, c2: float, x) -> FamilyEval:
-    """Steady sn-state evaluation bundle (time-independent)."""
-    return JacobiSnSteady(params=p, c1=c1, c2=c2).eval_bundle(0.0, x)
-
-
-def eval_nonclassical(p: Params, c1: float, c2: float, t, x) -> FamilyEval:
-    """Exponential-family evaluation bundle; raises ComplexResult when the
-    (c1, c2, k) combination is not effectively real."""
-    return NonClassicalExp(params=p, c1=c1, c2=c2).eval_bundle(t, x)

@@ -28,14 +28,12 @@ Arguments beyond half a period are reduced modulo the period 4K(k) first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConvergenceError, ModulusOutOfRange
 
 __all__ = [
-    "EllipticArgs",
     "jacobi_sn",
     "jacobi_cn_dn",
     "jacobi_sn_cn_dn",
@@ -53,26 +51,6 @@ def _check_modulus(k: float) -> float:
     if not (0.0 <= k <= 1.0) or not math.isfinite(k):
         raise ModulusOutOfRange(f"modulus must lie in [0, 1], got {k!r}")
     return k
-
-
-@dataclass(frozen=True)
-class EllipticArgs:
-    """Validated (argument, modulus) pair.
-
-    ``parameter`` exposes m = k**2 for callers that speak the other
-    convention.
-    """
-
-    z: float
-    modulus_k: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "modulus_k", _check_modulus(self.modulus_k))
-
-    @property
-    def parameter(self) -> float:
-        return self.modulus_k**2
 
 
 def modulus_from_parameter(m: float) -> float:

@@ -24,28 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, g_prime
+from .core import ConfigError, Params, g_prime
 
 __all__ = [
-    "CLASSIFICATIONS",
     "jacobian_at",
     "eig_closed_form",
     "classify_matrix",
     "classify",
     "dispersion_sweep",
     "DispersionSweep",
-    "StabilityReport",
-    "stability_report",
 ]
-
-CLASSIFICATIONS = (
-    "stable node",
-    "stable spiral",
-    "unstable node",
-    "unstable spiral",
-    "saddle",
-    "center/degenerate",
-)
 
 _DEGENERATE_TOL = 1e-12
 
@@ -53,7 +41,7 @@ _DEGENERATE_TOL = 1e-12
 def jacobian_at(p: Params, u_star: float, k: float = 0.0) -> np.ndarray:
     """Perturbation matrix [[1 - u*^2 - D k^2, -1], [eps, -eps beta]]."""
     if k < 0.0:
-        raise ValueError("wavenumber k must be >= 0")
+        raise ConfigError(f"wavenumber k must be >= 0, got {k!r}")
     return np.array(
         [
             [g_prime(u_star) - p.D * k * k, -1.0],
@@ -119,9 +107,9 @@ def dispersion_sweep(p: Params, u_star: float, k_max: float, n: int) -> Dispersi
     """Sample sigma(k) on [0, k_max] and bisect the sign changes of
     max Re sigma to 1e-8 in k (unstable band endpoints)."""
     if not k_max > 0.0:
-        raise ValueError("k_max must be > 0")
+        raise ConfigError(f"k_max must be > 0, got {k_max!r}")
     if n < 2:
-        raise ValueError("need at least 2 samples")
+        raise ConfigError(f"need at least 2 samples, got n={n!r}")
     ks = np.linspace(0.0, k_max, int(n))
     sigma = np.empty((len(ks), 2), dtype=complex)
     for i, k in enumerate(ks):
@@ -149,54 +137,3 @@ def dispersion_sweep(p: Params, u_star: float, k_max: float, n: int) -> Dispersi
     if f[-1] == 0.0:
         edges.append(float(ks[-1]))
     return DispersionSweep(ks=ks, sigma=sigma, band_edges=tuple(edges))
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Fixed point, perturbation matrix, eigenvalues, label, dispersion."""
-
-    u_star: float
-    v_star: float
-    k: float
-    jacobian: tuple[tuple[float, float], tuple[float, float]]
-    eigenvalues: tuple[complex, complex]
-    classification: str
-    dispersion: tuple[tuple[float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "u_star": self.u_star,
-            "v_star": self.v_star,
-            "k": self.k,
-            "jacobian": [list(row) for row in self.jacobian],
-            "eigenvalues": [[s.real, s.imag] for s in self.eigenvalues],
-            "classification": self.classification,
-            "dispersion": [list(pair) for pair in self.dispersion],
-        }
-
-
-def stability_report(
-    p: Params,
-    u_star: float,
-    k: float = 0.0,
-    k_max: float | None = None,
-    n: int = 0,
-) -> StabilityReport:
-    """Classification at wavenumber k plus an optional dispersion sweep."""
-    m = jacobian_at(p, u_star, k)
-    eigs, label = classify_matrix(m)
-    dispersion: tuple[tuple[float, float], ...] = ()
-    if k_max is not None and n >= 2:
-        sweep = dispersion_sweep(p, u_star, k_max, n)
-        dispersion = tuple(
-            (float(kk), float(re)) for kk, re in zip(sweep.ks, sweep.re_sigma_max)
-        )
-    return StabilityReport(
-        u_star=float(u_star),
-        v_star=float(u_star) / p.beta,
-        k=float(k),
-        jacobian=((float(m[0, 0]), float(m[0, 1])), (float(m[1, 0]), float(m[1, 1]))),
-        eigenvalues=eigs,
-        classification=label,
-        dispersion=dispersion,
-    )

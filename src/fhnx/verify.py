@@ -42,12 +42,7 @@ __all__ = [
     "residual_third_order",
     "check_ansatz_constraints",
     "invariant_surface_check",
-    "DEFAULT_TOL_ANALYTIC",
-    "DEFAULT_TOL_FD",
 ]
-
-DEFAULT_TOL_ANALYTIC = 1e-10
-DEFAULT_TOL_FD = 1e-5
 
 _METHODS = ("analytic", "finite-difference")
 

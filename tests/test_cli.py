@@ -153,6 +153,15 @@ class TestVerify:
     def test_nonpositive_parameter_exit_three(self, capsys):
         assert main(["verify", "--param", "params.d=0"]) == 3
 
+    def test_late_time_window_passes(self, capsys):
+        # the paper's bracket form of v overflows here (E**3 = exp(1200))
+        code = main(["verify", "--param", "grid.t_min=1990", "--param", "grid.t_max=2000",
+                     "--param", "grid.nt=11", "--param", "grid.nx=21"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.count("PASS") == 6
+        assert captured.err == ""
+
 
 class TestStability:
     def test_auto_fixed_points_three_files(self, tmp_path, capsys):
@@ -183,6 +192,16 @@ class TestStability:
         assert code == 0
         rows = read_csv(tmp_path / "dispersion_0.csv")
         assert len(rows) == 1 + 51
+
+    @pytest.mark.parametrize(
+        "override", ["stability.n=1", "stability.k_max=0", "stability.k_max=-1"]
+    )
+    def test_bad_sweep_is_config_error(self, capsys, override):
+        code = main(["stability", "--param", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
 
 
 class TestSimulate:

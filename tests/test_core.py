@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import given, strategies as st
 from fhnx.core import (
     ComplexResult,
     ConfigError,
-    FieldPair,
     Grid,
     NonPositiveParameter,
     Params,
@@ -18,18 +16,16 @@ from fhnx.core import (
     g_prime,
     is_effectively_real,
     require_real,
-    validate_params,
     worker_count,
 )
-
-FIG1 = dict(D=1.03, epsilon=0.3, beta=2.0, c=0.0)
+from fhnx.solutions import FixedPoint, fixed_points
 
 
 class TestParams:
     def test_benchmark_parameters_accepted(self):
-        p = validate_params(1.03, 0.3, 2.0, 0)
+        p = Params(1.03, 0.3, 2.0, 0)
         assert (p.D, p.epsilon, p.beta, p.c) == (1.03, 0.3, 2.0, 0.0)
-        assert not p.degenerate
+        assert all(type(getattr(p, name)) is float for name in ("D", "epsilon", "beta", "c"))
 
     @pytest.mark.parametrize(
         "kwargs,name",
@@ -46,23 +42,8 @@ class TestParams:
         assert err.value.name == name
 
     def test_beta_one_flagged_degenerate(self):
-        p = validate_params(1.0, 0.1, 1.0, 0)
-        assert p.degenerate
-
-    @given(
-        D=st.floats(1e-6, 1e6),
-        epsilon=st.floats(1e-6, 1e6),
-        beta=st.floats(1e-6, 1e6),
-        c=st.floats(-1e6, 1e6),
-    )
-    def test_json_round_trip(self, D, epsilon, beta, c):
-        p = Params(D, epsilon, beta, c)
-        assert Params.from_json(p.to_json()) == p
-
-    def test_dict_round_trip_via_json_text(self):
-        p = Params(**FIG1)
-        again = Params.from_dict(json.loads(json.dumps(p.to_dict())))
-        assert again == p
+        # beta = 1: the three isolated fixed points coalesce into a triple root
+        assert fixed_points(Params(1.0, 0.1, 1.0, 0)) == [FixedPoint(0.0, 0.0, 3)]
 
 
 class TestReaction:
@@ -142,21 +123,6 @@ class TestGrid:
     def test_invalid_grids(self, kwargs):
         with pytest.raises(ConfigError):
             Grid(**kwargs)
-
-
-class TestFieldPair:
-    def test_shape_and_finiteness(self):
-        fp = FieldPair(u=[0.0, 1.0], v=[0.5, 0.25])
-        assert fp.u.shape == fp.v.shape
-        with pytest.raises(ConfigError):
-            FieldPair(u=[0.0, 1.0], v=[0.5])
-        with pytest.raises(ConfigError):
-            FieldPair(u=[0.0, np.nan], v=[0.0, 0.0])
-
-    def test_arrays_locked_after_construction(self):
-        fp = FieldPair(u=[0.0, 1.0], v=[0.5, 0.25])
-        with pytest.raises(ValueError):
-            fp.u[0] = 7.0
 
 
 def test_worker_count_env(monkeypatch):

@@ -7,7 +7,6 @@ from fhnx.core import (
     BlowUp,
     CflViolation,
     ConfigError,
-    FieldPair,
     Grid,
     InsufficientSignal,
     Params,
@@ -17,10 +16,9 @@ from fhnx.simulate import (
     convergence_study,
     read_frames,
     run,
-    step,
     write_frames,
 )
-from fhnx.solutions import make_family
+from fhnx.solutions import FixedPointState, make_family
 
 FIG1 = Params(D=1.03, epsilon=0.3, beta=2.0, c=0.0)
 
@@ -59,44 +57,47 @@ class TestConfig:
             SimConfig(grid=grid).check_cfl(FIG1)
 
 
+def one_step_grid(grid):
+    """The first step of grid alone: nt = 2 with the same dt."""
+    return Grid(x_min=grid.x_min, x_max=grid.x_max, nx=grid.nx,
+                t_min=grid.t_min, t_max=grid.t_min + grid.dt, nt=2)
+
+
 class TestStep:
     def test_zero_state_preserved_exactly(self):
-        grid = cfl_grid(41, 0.01)
-        cfg = SimConfig(grid=grid)
+        cfg = SimConfig(grid=one_step_grid(cfl_grid(41, 0.01)))
         fam = make_family("FixedPointZero", FIG1)
-        state = FieldPair(u=np.zeros(41), v=np.zeros(41))
-        out = step(state, FIG1, cfg, t=0.0, family=fam)
-        assert np.all(out.u == 0.0) and np.all(out.v == 0.0)
+        out = run(fam, FIG1, cfg)
+        assert np.all(out.us[1] == 0.0) and np.all(out.vs[1] == 0.0)
 
     def test_nonzero_fixed_point_step_drift(self):
-        grid = cfl_grid(41, 0.01)
+        grid = one_step_grid(cfl_grid(41, 0.01))
         cfg = SimConfig(grid=grid)
         fam = make_family("FixedPointPlus", FIG1)
         u0, v0 = fam.eval(0.0, grid.xs())
-        out = step(FieldPair(u=u0, v=v0), FIG1, cfg, t=0.0, family=fam)
-        assert np.max(np.abs(out.u - u0)) < 1e-12
-        assert np.max(np.abs(out.v - v0)) < 1e-12
+        out = run(fam, FIG1, cfg)
+        assert np.max(np.abs(out.us[1] - u0)) < 1e-12
+        assert np.max(np.abs(out.vs[1] - v0)) < 1e-12
 
     def test_single_step_error_at_local_truncation(self):
         # exact data + exact boundaries: one step leaves O(dt * dx^2)
         fam = make_family("NonClassicalExp", FIG1)
-        grid = cfl_grid(101, 0.01)
+        grid = one_step_grid(cfl_grid(101, 0.01))
         cfg = SimConfig(grid=grid)
         xs = grid.xs()
-        u0, v0 = fam.eval(0.0, xs)
-        out = step(FieldPair(u=u0, v=v0), FIG1, cfg, t=0.0, family=fam)
+        out = run(fam, FIG1, cfg)
         ue, _ = fam.eval(grid.dt, xs)
-        err = np.max(np.abs(out.u - ue))
+        err = np.max(np.abs(out.us[1] - ue))
         assert err < 10.0 * grid.dt * grid.dx**2
 
     def test_blowup_detection(self):
-        grid = Grid(x_min=-1.0, x_max=1.0, nx=11, t_min=0.0, t_max=10.0, nt=3)
+        grid = Grid(x_min=-1.0, x_max=1.0, nx=11, t_min=0.0, t_max=5.0, nt=2)
         cfg = SimConfig(grid=grid, scheme="semi-implicit", bc="periodic")
-        huge = np.full(11, 9e5)
-        state = FieldPair(u=huge, v=-huge)
+        huge = FixedPointState(params=FIG1, tag="HugeState", u_star=9e5, v_star=-9e5)
         with pytest.raises(BlowUp) as err:
-            step(state, FIG1, cfg, t=0.0)
-        assert err.value.step == 0
+            run(huge, FIG1, cfg)
+        assert err.value.step == 1
+        assert err.value.t == grid.ts()[1]
 
 
 class TestRun:

@@ -5,6 +5,7 @@ import pytest
 
 from fhnx.core import (
     BranchMismatch,
+    Grid,
     ComplexResult,
     OutOfDomain,
     Params,
@@ -15,12 +16,8 @@ from fhnx.core import (
 from fhnx.solutions import (
     FAMILY_TAGS,
     FIXED_POINT_TAGS,
-    NonClassicalAnsatz,
     closed_form_root_match,
     eval_fixed_point_closed_form,
-    eval_jacobisn_steady,
-    eval_nonclassical,
-    eval_tanh_front,
     family_catalog,
     fixed_points,
     make_family,
@@ -28,13 +25,15 @@ from fhnx.solutions import (
     nonclassical_k_squared,
     sample_F,
     solve_F_exponent,
-    solve_F_ode,
     solve_depressed_cubic,
     symmetry_catalog,
 )
 
+from nonclassical_oracle import v_bracket
+
 FIG1 = Params(D=1.03, epsilon=0.3, beta=2.0, c=0.0)
 SQRT15 = math.sqrt(1.5)  # fixed-point amplitude at beta = 2
+BENCH_GRID = Grid(x_min=-3.0, x_max=3.0, nx=201, t_min=0.0, t_max=5.0, nt=101)
 
 
 class TestCubicOracle:
@@ -154,20 +153,22 @@ class TestClosedForms:
 
 class TestTanhFront:
     def test_zero_crossing_at_minus_x0(self):
-        out = eval_tanh_front(FIG1, +1, 0.7, 0.0, -0.7)
-        assert float(out.u) == 0.0 and float(out.v) == 0.0
+        u, v = make_family("TanhFrontPlus", FIG1, x0=0.7).eval(0.0, -0.7)
+        assert float(u) == 0.0 and float(v) == 0.0
 
     def test_saturation_to_fixed_point_amplitude(self):
         # evaluate far in the tail: x + x0 = 40
-        out = eval_tanh_front(FIG1, +1, 0.0, 0.0, 40.0)
-        assert float(out.u) == pytest.approx(-1.224744871391589, abs=1e-12)
-        out = eval_tanh_front(FIG1, -1, 0.0, 0.0, 40.0)
-        assert float(out.u) == pytest.approx(+1.224744871391589, abs=1e-12)
+        u, _ = make_family("TanhFrontPlus", FIG1, x0=0.0).eval(0.0, 40.0)
+        assert float(u) == pytest.approx(-1.224744871391589, abs=1e-12)
+        u, _ = make_family("TanhFrontMinus", FIG1, x0=0.0).eval(0.0, 40.0)
+        assert float(u) == pytest.approx(+1.224744871391589, abs=1e-12)
 
     def test_steady_residual_from_analytic_derivatives(self):
         p = Params(1.0, 0.3, 2.0)
-        out = eval_tanh_front(p, +1, 0.0, 0.0, 0.7)
-        r = p.D * float(out.u_xx) - float(out.v) + g(float(out.u))
+        fam = make_family("TanhFrontPlus", p, x0=0.0)
+        u, v = fam.eval(0.0, 0.7)
+        _, _, u_xx, _ = fam.eval_derivs(0.0, 0.7)
+        r = p.D * float(u_xx) - float(v) + g(float(u))
         assert abs(r) < 1e-12
 
     @pytest.mark.parametrize("beta", [1.5, 2.0, 4.0])
@@ -175,8 +176,10 @@ class TestTanhFront:
     def test_steady_residual_parameter_sweep(self, beta, D):
         p = Params(D, 0.3, beta)
         xs = np.linspace(-5.0, 5.0, 41)
-        out = eval_tanh_front(p, -1, 0.37, 0.0, xs)
-        r = p.D * out.u_xx - out.v + g(out.u)
+        fam = make_family("TanhFrontMinus", p, x0=0.37)
+        u, v = fam.eval(0.0, xs)
+        _, _, u_xx, _ = fam.eval_derivs(0.0, xs)
+        r = p.D * u_xx - v + g(u)
         assert np.max(np.abs(r)) < 1e-12
 
     def test_requires_beta_above_one(self):
@@ -191,8 +194,9 @@ class TestTanhFront:
 
 class TestJacobiSnSteady:
     def test_zero_amplitude_when_c2_zero(self):
-        out = eval_jacobisn_steady(FIG1, 0.3, 0.0, np.linspace(-2, 2, 9))
-        assert np.all(out.u == 0.0) and np.all(out.v == 0.0)
+        fam = make_family("JacobiSnSteady", FIG1, c1=0.3, c2=0.0)
+        u, v = fam.eval(0.0, np.linspace(-2, 2, 9))
+        assert np.all(u == 0.0) and np.all(v == 0.0)
 
     def test_modulus_one_limit_matches_tanh_front(self):
         beta = 2.0
@@ -210,8 +214,10 @@ class TestJacobiSnSteady:
         # exactness is not asserted at machine zero; log-level bound only
         p = Params(1.0, 0.3, 2.0)
         xs = np.linspace(-5.0, 5.0, 21)
-        out = eval_jacobisn_steady(p, 0.0, 0.3, xs)
-        r = p.D * out.u_xx - out.v + g(out.u)
+        fam = make_family("JacobiSnSteady", p, c1=0.0, c2=0.3)
+        u, v = fam.eval(0.0, xs)
+        _, _, u_xx, _ = fam.eval_derivs(0.0, xs)
+        r = p.D * u_xx - v + g(u)
         assert np.max(np.abs(r)) < 1e-8
 
     def test_derivatives_against_finite_differences(self):
@@ -281,17 +287,19 @@ class TestNonClassicalK:
 
 class TestNonClassicalFamily:
     def test_origin_values(self):
-        out = eval_nonclassical(FIG1, 1.0, 1.0, 0.0, 0.0)
-        assert float(out.u) == pytest.approx(2.0, abs=1e-15)
-        assert float(out.v) == pytest.approx(-7.0 / 6.0, abs=1e-12)
+        u, v = make_family("NonClassicalExp", FIG1, c1=1.0, c2=1.0).eval(0.0, 0.0)
+        assert float(u) == pytest.approx(2.0, abs=1e-15)
+        assert float(v) == pytest.approx(-7.0 / 6.0, abs=1e-12)
 
     def test_v_consistency_two_routes(self):
-        # literal bracket vs v = D u_xx - u_t + g(u)
+        # closed-form v vs v = D u_xx - u_t + g(u)
         ts = np.linspace(0.0, 5.0, 21)[:, None]
         xs = np.linspace(-3.0, 3.0, 41)[None, :]
-        out = eval_nonclassical(FIG1, 1.0, 1.0, ts, xs)
-        v_from_u = FIG1.D * out.u_xx - out.u_t + g(out.u)
-        assert np.max(np.abs(out.v - v_from_u)) < 1e-10
+        fam = make_family("NonClassicalExp", FIG1, c1=1.0, c2=1.0)
+        u, v = fam.eval(ts, xs)
+        u_t, _, u_xx, _ = fam.eval_derivs(ts, xs)
+        v_from_u = FIG1.D * u_xx - u_t + g(u)
+        assert np.max(np.abs(v - v_from_u)) < 1e-10
 
     def test_separable_time_decay(self):
         fam = make_family("NonClassicalExp", FIG1, c1=1.0, c2=1.0)
@@ -318,8 +326,11 @@ class TestNonClassicalFamily:
 
     def test_real_k_asymmetric_is_fine(self):
         p = Params(1.0, 0.3, 1.0)  # k real
-        out = eval_nonclassical(p, 1.0, 2.0, 0.5, 0.7)
-        assert np.isfinite(float(out.u)) and np.isfinite(float(out.v))
+        fam = make_family("NonClassicalExp", p, c1=1.0, c2=2.0)
+        u, v = fam.eval(0.5, 0.7)
+        assert np.isfinite(float(u)) and np.isfinite(float(v))
+        for d in fam.eval_derivs(0.5, 0.7):
+            assert np.isfinite(float(d))
 
     def test_derivatives_against_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -341,25 +352,48 @@ class TestNonClassicalFamily:
                 (float(uxp) - 2 * float(u0) + float(uxm)) / h**2, abs=1e-4
             )
 
+    @pytest.mark.parametrize(
+        "p,c1,c2",
+        [
+            (FIG1, 1.0, 1.0),  # benchmark: imaginary k
+            (Params(1.03, 0.3, 1.0), 1.0, 2.0),  # beta = 1: real k
+            (Params(1.03, 0.3, 1.0), -0.5, 1.5),
+            (Params(1.03, 0.3, 1.0), 1.0, 0.0),
+        ],
+        ids=["benchmark", "real-k", "real-k-mixed-sign", "real-k-single-exp"],
+    )
+    def test_closed_form_v_matches_paper_bracket(self, p, c1, c2):
+        T, X = BENCH_GRID.meshes()
+        _, v = make_family("NonClassicalExp", p, c1=c1, c2=c2).eval(T, X)
+        ref = v_bracket(p, c1, c2, T, X)
+        assert is_effectively_real(ref, 1e-12)
+        assert np.all(np.abs(v - ref.real) <= 1e-12 * np.maximum(1.0, np.abs(v)))
+
+    @pytest.mark.parametrize(
+        "p,t,x",
+        [
+            (FIG1, 2000.0, 0.5),  # E**3 = exp(1200) overflows
+            (Params(1.03, 0.3, 0.5), 0.0, 100.0),  # P**6 = exp(6 k x) overflows
+        ],
+        ids=["late-time", "far-field"],
+    )
+    def test_closed_form_v_finite_where_bracket_overflows(self, p, t, x):
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(v_bracket(p, 1.0, 1.0, t, x))
+            fam = make_family("NonClassicalExp", p)
+            u, v = fam.eval(t, x)  # no ComplexResult
+            u_t, _, u_xx, _ = fam.eval_derivs(t, x)
+        assert np.isfinite(u) and np.isfinite(v)
+        np.testing.assert_allclose(v, p.D * u_xx - u_t + g(u), rtol=1e-12, atol=0.0)
+
 
 class TestAnsatzType:
     def test_solved_branch_construction(self):
-        ans = NonClassicalAnsatz.solved_branch(FIG1, 1.0, 1.0)
-        assert ans.A == pytest.approx(-0.2, abs=1e-15)
-        assert ans.B == 0.0
-        ans.check(FIG1)  # no raise
-
-    def test_wrong_branch_rejected(self):
-        from fhnx.core import FhnxError
-
-        ans = NonClassicalAnsatz(A=-0.3, B=0.0, k=nonclassical_k(FIG1), c1=1.0, c2=1.0)
-        with pytest.raises(FhnxError):
-            ans.check(FIG1)
-        ans = NonClassicalAnsatz(
-            A=-FIG1.epsilon * FIG1.beta / 3.0, B=0.5, k=nonclassical_k(FIG1), c1=1.0, c2=1.0
-        )
-        with pytest.raises(FhnxError):
-            ans.check(FIG1)
+        # the family is the solved ansatz branch A = -eps beta / 3, B = 0
+        fam = make_family("NonClassicalExp", FIG1, c1=1.0, c2=1.0)
+        assert fam.decay_rate == pytest.approx(-0.2, abs=1e-15)
+        k2 = nonclassical_k_squared(FIG1)
+        assert abs(fam.k**2 - k2) <= 1e-12 * max(1.0, abs(k2))
 
     def test_symmetry_catalog_recorded(self):
         tags = [s["tag"] for s in symmetry_catalog()]
@@ -372,7 +406,7 @@ class TestProfileOde:
     def test_f_at_origin(self):
         p = FIG1
         A = -p.epsilon * p.beta / 3.0
-        assert solve_F_ode(p, A, 0.0, 1.0, 1.0, 0.0) == pytest.approx(2.0 + 0.0j)
+        assert sample_F(p, A, 0.0, 1.0, 1.0, [0.0]).F[0] == pytest.approx(2.0 + 0.0j)
 
     def test_exponent_squared_reproduces_wavenumber(self):
         p = FIG1
@@ -385,16 +419,16 @@ class TestProfileOde:
     def test_single_exponential_semigroup(self):
         p = Params(1.0, 0.3, 1.0)  # real exponent
         A = -p.epsilon * p.beta / 3.0
-        f = lambda x: solve_F_ode(p, A, 0.0, 1.0, 0.0, x)
+        f = lambda x: sample_F(p, A, 0.0, 1.0, 0.0, [x]).F[0]
         x1, x2 = 0.4, 1.1
         assert f(x1 + x2) == pytest.approx(f(x1) * f(x2) / f(0.0), rel=1e-12)
 
     def test_singular_parameters(self):
         p = FIG1
         with pytest.raises(SingularParameter):
-            solve_F_ode(p, 0.0, 0.0, 1.0, 1.0, 0.3)
+            sample_F(p, 0.0, 0.0, 1.0, 1.0, [0.3])
         with pytest.raises(SingularParameter):
-            solve_F_ode(p, -p.epsilon * p.beta, 0.0, 1.0, 1.0, 0.3)
+            sample_F(p, -p.epsilon * p.beta, 0.0, 1.0, 1.0, [0.3])
 
     def test_samples_satisfy_profile_ode(self):
         p = FIG1
@@ -451,12 +485,14 @@ class TestFamilySurface:
             "TanhFrontPlus": dict(x0=0.2),
             "TanhFrontMinus": dict(x0=-0.2),
         }.get(tag, {})
+        # the catalog entry describes the constructed family
         fam = make_family(tag, FIG1, **constants)
-        info = fam.describe()
-        assert info["tag"] == tag
-        assert info["formula"] == family_catalog()[tag]["formula"]
+        info = family_catalog()[tag]
+        assert fam.tag == tag
+        assert fam.steady == info["steady"]
+        assert set(constants) <= set(info["constant_names"])
         for name, value in constants.items():
-            assert info["constants"][name] == value
+            assert getattr(fam, name) == value
 
     def test_unknown_tag_and_constants_rejected(self):
         from fhnx.core import FhnxError

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from fhnx.core import ModulusOutOfRange
 from fhnx.specfn import (
-    EllipticArgs,
     ellipk,
     jacobi_cn_dn,
     jacobi_sn,
@@ -122,10 +121,11 @@ class TestArgumentHandling:
         np.testing.assert_allclose(sn**2 + cn**2, 1.0, atol=1e-12)
 
     def test_elliptic_args_validation(self):
-        args = EllipticArgs(z=1.0, modulus_k=0.5)
-        assert args.parameter == 0.25
+        assert parameter_from_modulus(0.5) == 0.25
         with pytest.raises(ModulusOutOfRange):
-            EllipticArgs(z=1.0, modulus_k=1.5)
+            jacobi_sn_cn_dn(1.0, 1.5)
+        with pytest.raises(ModulusOutOfRange):
+            parameter_from_modulus(1.5)
 
     def test_convention_conversion(self):
         assert modulus_from_parameter(0.25) == 0.5

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fhnx.core import Params
+from fhnx.core import ConfigError, Params
 from fhnx.solutions import fixed_points
 from fhnx.stability import (
     classify,
@@ -11,7 +11,6 @@ from fhnx.stability import (
     dispersion_sweep,
     eig_closed_form,
     jacobian_at,
-    stability_report,
 )
 
 FIG1 = Params(D=1.03, epsilon=0.3, beta=2.0, c=0.0)
@@ -36,7 +35,7 @@ class TestJacobian:
         assert m[0, 0] < 0.0
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             jacobian_at(FIG1, 0.0, -1.0)
 
 
@@ -148,6 +147,11 @@ class TestDispersion:
         assert np.all(re_max <= -FIG1.epsilon * FIG1.beta)
         assert np.all(np.diff(re_min) < 0.0)
 
+    @pytest.mark.parametrize("k_max,n", [(5.0, 1), (0.0, 11), (-1.0, 11)])
+    def test_bad_sample_range_rejected(self, k_max, n):
+        with pytest.raises(ConfigError):
+            dispersion_sweep(FIG1, 0.0, k_max, n)
+
     def test_row_contract(self):
         sweep = dispersion_sweep(FIG1, 0.0, 5.0, 101)
         rows = list(sweep.rows())
@@ -158,16 +162,15 @@ class TestDispersion:
 
 class TestReport:
     def test_report_fields(self):
-        rep = stability_report(FIG1, 0.0, k=0.0, k_max=5.0, n=11)
-        assert rep.classification == "saddle"
-        assert rep.v_star == 0.0
-        assert len(rep.dispersion) == 11
-        d = rep.to_dict()
-        assert d["classification"] == "saddle"
-        assert len(d["eigenvalues"]) == 2
+        eigs, label = classify(FIG1, 0.0, k=0.0)
+        assert label == "saddle"
+        assert fixed_points(FIG1)[1].v == 0.0
+        assert len(eigs) == 2
+        sweep = dispersion_sweep(FIG1, 0.0, 5.0, 11)
+        assert len(sweep.ks) == len(sweep.re_sigma_max) == 11
 
     def test_three_fixed_points_at_benchmark(self):
         fps = fixed_points(FIG1)
         assert len(fps) == 3
-        labels = [stability_report(FIG1, fp.u).classification for fp in fps]
+        labels = [classify(FIG1, fp.u)[1] for fp in fps]
         assert labels == ["stable spiral", "saddle", "stable spiral"]
