@@ -229,6 +229,17 @@ class TestSimulate:
         assert code == 2
         assert "exceeds the explicit bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
+    def test_initial_overflow_is_step_zero_blowup(self, tmp_path, capsys, scheme):
+        code = main(["simulate", "--scheme", scheme,
+                     "--param", "family.c1=1e120", "--param", "family.c2=1e120",
+                     "--param", "grid.nt=21", "--param", "grid.t_max=0.001",
+                     "--param", "grid.nx=21", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "blow-up at step 0" in err
+        assert "Traceback" not in err
+
     def test_zero_state_zero_error_table(self, tmp_path):
         code = main([*self.ARGS, "--param", "family.tag=FixedPointZero",
                      "--out", str(tmp_path)])

@@ -10,6 +10,7 @@ from fhnx.core import (
     Grid,
     InsufficientSignal,
     Params,
+    g,
 )
 from fhnx.simulate import (
     SimConfig,
@@ -206,40 +207,59 @@ class TestConvergence:
 
 
 class TestLinearSolvers:
-    def test_thomas_matches_dense_solve(self):
-        from fhnx.simulate import _Tridiag
+    """One semi-implicit step against a dense solve of (I - r L) u = rhs."""
 
-        rng = np.random.default_rng(17)
-        n = 24
-        lower = rng.uniform(-1.0, 0.0, n)
-        upper = rng.uniform(-1.0, 0.0, n)
-        diag = rng.uniform(3.0, 5.0, n)  # diagonally dominant
-        dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-        solver = _Tridiag(lower, diag, upper)
-        for _ in range(5):
-            rhs = rng.uniform(-2.0, 2.0, n)
-            np.testing.assert_allclose(
-                solver.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-12
-            )
+    NX = (3, 4, 17, 64)  # one interior node, even sizes, a prime periodic size
 
-    def test_cyclic_matches_dense_solve(self):
-        from fhnx.simulate import _CyclicTridiag
+    @staticmethod
+    def step_and_dense_solve(nx, bc):
+        fam = make_family("NonClassicalExp", FIG1)
+        dx = 6.0 / (nx - 1)
+        dt = 35.0 * dx * dx / FIG1.D  # r = 35
+        grid = Grid(x_min=-3.0, x_max=3.0, nx=nx, t_min=0.0, t_max=dt, nt=2)
+        out = run(fam, FIG1, SimConfig(grid=grid, scheme="semi-implicit", bc=bc))
 
-        rng = np.random.default_rng(23)
-        n = 17
-        off, diag_val = -0.4, 1.9
-        dense = (
-            np.diag(np.full(n, diag_val))
-            + np.diag(np.full(n - 1, off), -1)
-            + np.diag(np.full(n - 1, off), 1)
-        )
-        dense[0, -1] = dense[-1, 0] = off
-        solver = _CyclicTridiag(off=off, diag_val=diag_val, n=n)
-        for _ in range(5):
-            rhs = rng.uniform(-2.0, 2.0, n)
-            np.testing.assert_allclose(
-                solver.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-12
-            )
+        xs = grid.xs()
+        r = grid.dt * FIG1.D / grid.dx**2
+        u0, v0 = fam.eval(0.0, xs)
+        rhs = u0 + grid.dt * (-v0 + g(u0))
+        dense = (1.0 + 2.0 * r) * np.eye(nx) - r * np.eye(nx, k=1) - r * np.eye(nx, k=-1)
+        if bc == "periodic":
+            dense[0, -1] = dense[-1, 0] = -r
+        else:
+            dense[[0, -1]] = np.eye(nx)[[0, -1]]
+            rhs[0], rhs[-1] = fam.eval(grid.t_min + grid.dt, xs[[0, -1]])[0]
+        return out.us[1], np.linalg.solve(dense, rhs)
+
+    def test_dirichlet_step_matches_dense_solve(self):
+        for nx in self.NX:
+            got, want = self.step_and_dense_solve(nx, "dirichlet-from-family")
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_periodic_step_matches_dense_solve(self):
+        for nx in self.NX:
+            got, want = self.step_and_dense_solve(nx, "periodic")
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestBoundaryTraces:
+    @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
+    def test_ends_follow_step_lattice_and_eval_count(self, scheme):
+        fam = make_family("NonClassicalExp", FIG1)
+        calls = []
+
+        class Counting:
+            def eval(self, t, x):
+                calls.append(t)
+                return fam.eval(t, x)
+
+        grid = cfl_grid(21, 0.01)
+        out = run(Counting(), FIG1, SimConfig(grid=grid, scheme=scheme))
+        ts, xs, ends = out.ts, out.xs, [0, -1]
+        ue, ve = fam.eval(ts[:-1, None] + grid.dt, xs[ends])
+        assert np.all(out.us[1:, ends] == ue)
+        assert np.all(out.vs[1:, ends] == ve)
+        assert len(calls) <= grid.nt + 4
 
 
 class TestFrames:
