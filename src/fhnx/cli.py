@@ -372,8 +372,8 @@ def _cmd_figure(args) -> int:
     grid = cfg.grid()
     what = "u" if args.figure == 1 else "v"
 
-    T, X = grid.meshes()
-    u, v = fam.eval(T, X)
+    ts, xs = grid.ts(), grid.xs()
+    u, v = fam.eval(ts[:, None], xs[None, :])
     field = u if args.figure == 1 else v
 
     out = out or Path(".")
@@ -382,7 +382,7 @@ def _cmd_figure(args) -> int:
         out / csv_name,
         ["t", "x", what],
         (
-            (T[i, j], X[i, j], field[i, j])
+            (ts[i], xs[j], field[i, j])
             for i in range(grid.nt)
             for j in range(grid.nx)
         ),
@@ -395,7 +395,7 @@ def _cmd_figure(args) -> int:
         "figure": args.figure,
         "csv": str(out / csv_name),
         "script": str(out / f"figure{args.figure}.gp"),
-        "origin_value": float(np.asarray(field)[np.argmin(np.abs(grid.ts())), np.argmin(np.abs(grid.xs()))]),
+        "origin_value": float(field[np.argmin(np.abs(ts)), np.argmin(np.abs(xs))]),
     }
     if use_json:
         _emit_json(_envelope("figure", cfg, result))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,6 @@ __all__ = [
     "ccbrt",
     "is_effectively_real",
     "require_real",
-    "worker_count",
 ]
 
 # Acceptance threshold for "effectively real" complex values.
@@ -238,11 +236,3 @@ def require_real(z, tol: float = REAL_TOL, what: str = "value"):
     out = np.real(z).astype(float, copy=True)
     return out if out.ndim else float(out)
 
-
-def worker_count() -> int:
-    """Worker cap from FHNX_THREADS (default 1, minimum 1)."""
-    raw = os.environ.get("FHNX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -226,9 +226,7 @@ def run(ic_family: SolutionFamily, p: Params, cfg: SimConfig) -> SimResult:
         grid = cfg.grid
         ts, xs = grid.ts(), grid.xs()
         dx = grid.dx
-        u, v = ic_family.eval(ts[0], xs)
-        u = np.array(u, dtype=float)
-        v = np.array(v, dtype=float)
+        u, v = ic_family.eval(ts[0], xs)  # fresh float arrays of shape (nx,)
         _check_blowup(u, v, 0, float(ts[0]))
 
         us = np.empty((grid.nt, grid.nx))

@@ -364,7 +364,12 @@ class SolutionFamily:
     """Common surface of all catalog entries.
 
     Subclasses are immutable value objects; evaluation is pure and accepts
-    scalars or broadcastable numpy arrays for (t, x).
+    scalars or any broadcastable numpy arrays for (t, x).  Each family
+    computes its spatial factor on ``x`` and its temporal factor on ``t``
+    as passed, so open grids (``ts[:, None]``, ``xs[None, :]``) evaluate
+    every transcendental once per axis.  Every method returns fresh,
+    writable float arrays of the broadcast shape of (t, x), none aliasing
+    another (shape () for scalar arguments).
     """
 
     tag: str = ""
@@ -381,10 +386,18 @@ class SolutionFamily:
         """(u_tt, u_txx); zero for steady families, closed form otherwise."""
         raise NotImplementedError
 
-def _broadcast(t, x):
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.broadcast_arrays(t, x)
+
+def _on_grid(t, x, *factors):
+    """Each factor as a fresh writable array of the broadcast (t, x) shape.
+
+    A factor that already has that shape is a result the caller computed,
+    so it is returned without a copy.
+    """
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    return tuple(
+        f if isinstance(f, np.ndarray) and f.shape == shape else np.full(shape, f)
+        for f in factors
+    )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -398,18 +411,13 @@ class FixedPointState(SolutionFamily):
     steady: bool = True
 
     def eval(self, t, x):
-        tt, _ = _broadcast(t, x)
-        return np.full(tt.shape, self.u_star), np.full(tt.shape, self.v_star)
+        return _on_grid(t, x, self.u_star, self.v_star)
 
     def eval_derivs(self, t, x):
-        tt, _ = _broadcast(t, x)
-        z = np.zeros(tt.shape)
-        return z, z.copy(), z.copy(), z.copy()
+        return _on_grid(t, x, 0.0, 0.0, 0.0, 0.0)
 
     def eval_second_time_derivs(self, t, x):
-        tt, _ = _broadcast(t, x)
-        z = np.zeros(tt.shape)
-        return z, z.copy()
+        return _on_grid(t, x, 0.0, 0.0)
 
 
 def _fixed_point_family(p: Params, tag: str) -> FixedPointState:
@@ -464,28 +472,23 @@ class TanhFront(SolutionFamily):
         b = self.params.beta
         return 0.5 * math.sqrt(2.0 * (b - 1.0) / (self.params.D * b))
 
-    def _profile(self, t, x):
-        tt, xx = _broadcast(t, x)
-        return tt, np.tanh(self.steepness * (xx + self.x0))
+    def _profile(self, x):
+        return np.tanh(self.steepness * (np.asarray(x, dtype=float) + self.x0))
 
     def eval(self, t, x):
-        _, th = self._profile(t, x)
-        u = -self.sign * self.amplitude * th
-        return u, u / self.params.beta
+        u = -self.sign * self.amplitude * self._profile(x)
+        return _on_grid(t, x, u, u / self.params.beta)
 
     def eval_derivs(self, t, x):
-        tt, th = self._profile(t, x)
+        th = self._profile(x)
         sech2 = 1.0 - th**2
         a, b = self.amplitude, self.steepness
         u_x = -self.sign * a * b * sech2
         u_xx = -self.sign * a * b**2 * (-2.0 * th * sech2)
-        z = np.zeros(tt.shape)
-        return z, u_x, u_xx, z.copy()
+        return _on_grid(t, x, 0.0, u_x, u_xx, 0.0)
 
     def eval_second_time_derivs(self, t, x):
-        tt, _ = _broadcast(t, x)
-        z = np.zeros(tt.shape)
-        return z, z.copy()
+        return _on_grid(t, x, 0.0, 0.0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -549,27 +552,20 @@ class JacobiSnSteady(SolutionFamily):
         return self._z0 + self._b * np.asarray(x, dtype=float)  # type: ignore[attr-defined]
 
     def eval(self, t, x):
-        tt, xx = _broadcast(t, x)
-        sn, _, _ = jacobi_sn_cn_dn(self._z(xx), self.modulus)
-        u = self.amplitude * np.asarray(sn)
-        u = np.broadcast_to(u, tt.shape).copy()
-        return u, u / self.params.beta
+        sn, _, _ = jacobi_sn_cn_dn(self._z(x), self.modulus)
+        u = self.amplitude * sn
+        return _on_grid(t, x, u, u / self.params.beta)
 
     def eval_derivs(self, t, x):
-        tt, xx = _broadcast(t, x)
         m = self.modulus
-        sn, cn, dn = jacobi_sn_cn_dn(self._z(xx), m)
-        sn, cn, dn = (np.broadcast_to(np.asarray(a), tt.shape) for a in (sn, cn, dn))
+        sn, cn, dn = jacobi_sn_cn_dn(self._z(x), m)
         a, b = self.amplitude, self.steepness
         u_x = a * b * cn * dn
         u_xx = a * b**2 * (2.0 * m**2 * sn**3 - (1.0 + m**2) * sn)
-        z = np.zeros(tt.shape)
-        return z, u_x, u_xx, z.copy()
+        return _on_grid(t, x, 0.0, u_x, u_xx, 0.0)
 
     def eval_second_time_derivs(self, t, x):
-        tt, _ = _broadcast(t, x)
-        z = np.zeros(tt.shape)
-        return z, z.copy()
+        return _on_grid(t, x, 0.0, 0.0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -627,29 +623,30 @@ class NonClassicalExp(SolutionFamily):
         s_x = require_real(s_x, REAL_TOL, "spatial derivative of the exponential family")
         return s, s_x
 
+    def _decay(self, t):
+        """Temporal factor exp(A t)."""
+        return np.exp(self.decay_rate * np.asarray(t, dtype=float))
+
     def eval(self, t, x):
-        tt, xx = _broadcast(t, x)
-        s, _ = self._space(xx)
-        u = np.exp(self.decay_rate * tt) * s
-        return u, u * (1.5 / self.params.beta - u * u / 3.0)
+        s, _ = self._space(x)
+        u = self._decay(t) * s
+        return _on_grid(t, x, u, u * (1.5 / self.params.beta - u * u / 3.0))
 
     def eval_derivs(self, t, x):
-        tt, xx = _broadcast(t, x)
-        s, s_x = self._space(xx)
-        decay = np.exp(self.decay_rate * tt)
+        s, s_x = self._space(x)
+        decay = self._decay(t)
         u = decay * s
         u_t = self.decay_rate * u
         u_x = decay * s_x
         u_xx = self.k_squared * u
         v_t = u_t * (3.0 / (2.0 * self.params.beta) - u**2)
-        return u_t, u_x, u_xx, v_t
+        return _on_grid(t, x, u_t, u_x, u_xx, v_t)
 
     def eval_second_time_derivs(self, t, x):
-        tt, xx = _broadcast(t, x)
-        s, _ = self._space(xx)
-        u = np.exp(self.decay_rate * tt) * s
+        s, _ = self._space(x)
+        u = self._decay(t) * s
         a = self.decay_rate
-        return a * a * u, a * self.k_squared * u
+        return _on_grid(t, x, a * a * u, a * self.k_squared * u)
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,20 @@ grid, which decouples sampling from differentiation and keeps truncation
 error below the assertion tolerances (1e-10 analytic, 1e-5 finite
 difference by default).
 
-Grid rows may be processed by a small thread pool (capped by FHNX_THREADS);
-chunks are reassembled in index order before any reduction, so results are
-bytewise independent of the worker count.
+Families are evaluated on open grids (``ts[:, None]``, ``xs[None, :]``),
+so each transcendental factor is computed once per axis.  Evaluation runs
+with floating-point overflow silenced; a residual that is not finite
+raises OutOfDomain at the first such grid point instead.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import FhnxError, Grid, Params, SingularParameter, g, worker_count
+from .core import FhnxError, Grid, OutOfDomain, Params, SingularParameter, g
 from .solutions import FSamples, SolutionFamily, nonclassical_k_squared
 
 __all__ = [
@@ -102,31 +102,54 @@ def _check_method(method: str) -> str:
     return method
 
 
-def _chunk_rows(nt: int, workers: int) -> list[tuple[int, int]]:
-    workers = min(workers, nt)
-    bounds = np.linspace(0, nt, workers + 1).astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers) if bounds[i] < bounds[i + 1]]
+def _open_grid(grid: Grid):
+    ts, xs = grid.ts(), grid.xs()
+    return ts, xs, ts[:, None], xs[None, :]
 
 
-def _eval_chunked(compute: Callable[[np.ndarray], tuple], ts: np.ndarray) -> list[tuple]:
-    """Apply ``compute`` to row chunks, preserving chunk order."""
-    workers = worker_count()
-    chunks = _chunk_rows(len(ts), workers)
-    if len(chunks) <= 1:
-        return [compute(ts)]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(compute, ts[i0:i1]) for i0, i1 in chunks]
-        return [f.result() for f in futures]
+def _require_finite(ts, xs, *residuals: np.ndarray) -> None:
+    """Raise OutOfDomain at the first (t, x) where a residual is not finite."""
+    bad = ~np.logical_and.reduce([np.isfinite(r) for r in residuals])
+    if bad.any():
+        it, ix = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise OutOfDomain(
+            f"residual is not finite at (t, x) = ({ts[it]:.6g}, {xs[ix]:.6g}): "
+            "the family's values overflow float64 there"
+        )
 
 
 def _norms(r: np.ndarray) -> tuple[float, float]:
-    return float(np.max(np.abs(r))), float(np.sqrt(np.sum(r * r)))
+    linf = float(np.max(np.abs(r)))
+    l2 = float(np.sqrt(np.sum(r * r)))
+    if not np.isfinite(l2):
+        # the squares overflow: sum them scaled by linf instead
+        q = r / linf
+        l2 = linf * float(np.sqrt(np.sum(q * q)))
+    return linf, l2
 
 
-def _worst_point(ts, xs, r_u, r_v) -> tuple[float, float]:
+def _report(ts, xs, r_u, r_v, method: str, notes: tuple[str, ...]) -> ResidualReport:
+    """Norms of a residual pair and the grid point of the largest value."""
+    _require_finite(ts, xs, r_u, r_v)
+    linf_u, l2_u = _norms(r_u)
+    linf_v, l2_v = _norms(r_v)
     mag = np.maximum(np.abs(r_u), np.abs(r_v))
     it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    return (float(ts[it]), float(xs[ix]))
+    return ResidualReport(
+        linf_u=linf_u,
+        l2_u=l2_u,
+        linf_v=linf_v,
+        l2_v=l2_v,
+        worst_point=(float(ts[it]), float(xs[ix])),
+        method=method,
+        sample_count=r_u.size,
+        notes=notes,
+    )
+
+
+def _stencil(weights, samples, h: float, order: int):
+    """Central 5-point difference: sum of w * f over the shifts / (12 h**order)."""
+    return sum(w * f for w, f in zip(weights, samples) if w) / (12.0 * h**order)
 
 
 def _fd_steps(grid: Grid) -> tuple[float, float]:
@@ -136,56 +159,30 @@ def _fd_steps(grid: Grid) -> tuple[float, float]:
     return hx, ht
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def residual_system(
     fam: SolutionFamily, p: Params, grid: Grid, method: str = "analytic"
 ) -> ResidualReport:
     """Residual norms of both model equations for a family over a grid."""
     method = _check_method(method)
-    ts, xs = grid.ts(), grid.xs()
+    ts, xs, T, X = _open_grid(grid)
 
     if method == "analytic":
-
-        def compute(trows: np.ndarray):
-            T, X = np.meshgrid(trows, xs, indexing="ij")
-            u, v = fam.eval(T, X)
-            u_t, _, u_xx, v_t = fam.eval_derivs(T, X)
-            r_u = u_t - p.D * u_xx + v - g(u)
-            r_v = v_t - p.epsilon * (-p.beta * v + p.c + u)
-            return r_u, r_v
-
+        u, v = fam.eval(T, X)
+        u_t, _, u_xx, v_t = fam.eval_derivs(T, X)
     else:
         hx, ht = _fd_steps(grid)
-
-        def compute(trows: np.ndarray):
-            T, X = np.meshgrid(trows, xs, indexing="ij")
-            ut_shift = [fam.eval(T + i * ht, X) for i in _SHIFTS]
-            ux_shift = [fam.eval(T, X + j * hx)[0] for j in _SHIFTS]
-            u, v = ut_shift[2]
-            u_t = sum(w * ut_shift[i][0] for i, w in enumerate(_D1) if w) / (12.0 * ht)
-            v_t = sum(w * ut_shift[i][1] for i, w in enumerate(_D1) if w) / (12.0 * ht)
-            u_xx = sum(w * ux_shift[j] for j, w in enumerate(_D2) if w) / (12.0 * hx**2)
-            r_u = u_t - p.D * u_xx + v - g(u)
-            r_v = v_t - p.epsilon * (-p.beta * v + p.c + u)
-            return r_u, r_v
-
-    parts = _eval_chunked(compute, ts)
-    r_u = np.vstack([part[0] for part in parts])
-    r_v = np.vstack([part[1] for part in parts])
-
-    linf_u, l2_u = _norms(r_u)
-    linf_v, l2_v = _norms(r_v)
-    return ResidualReport(
-        linf_u=linf_u,
-        l2_u=l2_u,
-        linf_v=linf_v,
-        l2_v=l2_v,
-        worst_point=_worst_point(ts, xs, r_u, r_v),
-        method=method,
-        sample_count=r_u.size,
-        notes=fam.notes,
-    )
+        ut_shift = [fam.eval(T + i * ht, X) for i in _SHIFTS]
+        u, v = ut_shift[2]
+        u_t = _stencil(_D1, [s[0] for s in ut_shift], ht, 1)
+        v_t = _stencil(_D1, [s[1] for s in ut_shift], ht, 1)
+        u_xx = _stencil(_D2, [fam.eval(T, X + j * hx)[0] for j in _SHIFTS], hx, 2)
+    r_u = u_t - p.D * u_xx + v - g(u)
+    r_v = v_t - p.epsilon * (-p.beta * v + p.c + u)
+    return _report(ts, xs, r_u, r_v, method, fam.notes)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def residual_third_order(
     fam: SolutionFamily, p: Params, grid: Grid, method: str = "analytic"
 ) -> ResidualReport:
@@ -195,52 +192,28 @@ def residual_third_order(
     bounded by the system residual norms for catalog families.
     """
     method = _check_method(method)
-    ts, xs = grid.ts(), grid.xs()
+    ts, xs, T, X = _open_grid(grid)
 
     if method == "analytic":
-
-        def compute(trows: np.ndarray):
-            T, X = np.meshgrid(trows, xs, indexing="ij")
-            u, _ = fam.eval(T, X)
-            u_t, _, u_xx, _ = fam.eval_derivs(T, X)
-            u_tt, u_txx = fam.eval_second_time_derivs(T, X)
-            return (_third_order_expr(p, u, u_t, u_xx, u_tt, u_txx),)
-
+        u, _ = fam.eval(T, X)
+        u_t, _, u_xx, _ = fam.eval_derivs(T, X)
+        u_tt, u_txx = fam.eval_second_time_derivs(T, X)
     else:
         hx, ht = _fd_steps(grid)
-
-        def compute(trows: np.ndarray):
-            T, X = np.meshgrid(trows, xs, indexing="ij")
-            U = {
-                (i, j): fam.eval(T + i * ht, X + j * hx)[0]
-                for i in _SHIFTS
-                for j in _SHIFTS
-            }
-            u = U[(0, 0)]
-            u_t = sum(w * U[(i, 0)] for i, w in zip(_SHIFTS, _D1) if w) / (12.0 * ht)
-            u_tt = sum(w * U[(i, 0)] for i, w in zip(_SHIFTS, _D2) if w) / (12.0 * ht**2)
-            u_xx = sum(w * U[(0, j)] for j, w in zip(_SHIFTS, _D2) if w) / (12.0 * hx**2)
-            uxx_at = [
-                sum(w * U[(i, j)] for j, w in zip(_SHIFTS, _D2) if w) / (12.0 * hx**2)
-                for i in _SHIFTS
-            ]
-            u_txx = sum(w * uxx_at[n] for n, w in enumerate(_D1) if w) / (12.0 * ht)
-            return (_third_order_expr(p, u, u_t, u_xx, u_tt, u_txx),)
-
-    parts = _eval_chunked(compute, ts)
-    r = np.vstack([part[0] for part in parts])
-    linf, l2 = _norms(r)
-    zero = np.zeros_like(r)
-    return ResidualReport(
-        linf_u=linf,
-        l2_u=l2,
-        linf_v=0.0,
-        l2_v=0.0,
-        worst_point=_worst_point(ts, xs, r, zero),
-        method=method,
-        sample_count=r.size,
-        notes=fam.notes + ("single third-order equation in u; v slots unused",),
-    )
+        U = {
+            (i, j): fam.eval(T + i * ht, X + j * hx)[0]
+            for i in _SHIFTS
+            for j in _SHIFTS
+        }
+        u = U[(0, 0)]
+        u_t = _stencil(_D1, [U[(i, 0)] for i in _SHIFTS], ht, 1)
+        u_tt = _stencil(_D2, [U[(i, 0)] for i in _SHIFTS], ht, 2)
+        u_xx = _stencil(_D2, [U[(0, j)] for j in _SHIFTS], hx, 2)
+        uxx_at = [_stencil(_D2, [U[(i, j)] for j in _SHIFTS], hx, 2) for i in _SHIFTS]
+        u_txx = _stencil(_D1, uxx_at, ht, 1)
+    r = _third_order_expr(p, u, u_t, u_xx, u_tt, u_txx)
+    notes = fam.notes + ("single third-order equation in u; v slots unused",)
+    return _report(ts, xs, r, np.zeros_like(r), method, notes)
 
 
 def _third_order_expr(p: Params, u, u_t, u_xx, u_tt, u_txx):
@@ -320,11 +293,14 @@ def check_ansatz_constraints(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def invariant_surface_check(
     fam: SolutionFamily, A: float, B: float, grid: Grid
 ) -> float:
     """Sup norm of the invariant-surface defect u_t - (A u + B) on the grid."""
-    T, X = grid.meshes()
+    ts, xs, T, X = _open_grid(grid)
     u, _ = fam.eval(T, X)
     u_t, _, _, _ = fam.eval_derivs(T, X)
-    return float(np.max(np.abs(u_t - (A * u + B))))
+    defect = u_t - (A * u + B)
+    _require_finite(ts, xs, defect)
+    return float(np.max(np.abs(defect)))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -162,6 +163,37 @@ class TestVerify:
         assert captured.out.count("PASS") == 6
         assert captured.err == ""
 
+    # beta = 0.5 gives a real wavenumber, so u grows like exp(1.38 x)
+    OVERFLOW = ["verify", "--param", "params.beta=0.5",
+                "--param", "grid.nx=21", "--param", "grid.nt=3"]
+
+    def test_huge_finite_residuals_fail_with_finite_norms(self, capsys):
+        # residuals near 1e252: their squares overflow, the norms must not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, payload = run_json(
+                capsys, [*self.OVERFLOW, "--param", "grid.x_max=150", "--json"]
+            )
+        assert caught == []
+        assert code == 1
+        assert payload["pass"] is False
+        for rep in payload["result"]["reports"].values():
+            for eq in ("u", "v"):
+                linf, l2 = rep[f"linf_{eq}"], rep[f"l2_{eq}"]
+                assert math.isfinite(l2) and linf <= l2 <= linf * math.sqrt(rep["sample_count"])
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_overflowing_family_is_domain_error_at_first_point(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*self.OVERFLOW, "--param", "grid.x_max=300"])
+        assert caught == []
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        # first non-finite sample in (t, x) order: t = 0, x = -3 + 12 * 15.15
+        assert "domain error: residual is not finite at (t, x) = (0, 178.8)" in err
+
 
 class TestStability:
     def test_auto_fixed_points_three_files(self, tmp_path, capsys):
@@ -268,14 +300,6 @@ class TestSimulate:
         assert main([*self.ARGS, "--out", str(out2)]) == 0
         for name in ("errors.csv", "trajectory.csv", "frames.bin"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_thread_env_does_not_change_bytes(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("FHNX_THREADS", "1")
-        assert main(["verify", *SMALL_GRID, "--out", str(out1)]) == 0
-        monkeypatch.setenv("FHNX_THREADS", "4")
-        assert main(["verify", *SMALL_GRID, "--out", str(out2)]) == 0
-        assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
 
 
 class TestFigure:

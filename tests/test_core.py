@@ -16,7 +16,6 @@ from fhnx.core import (
     g_prime,
     is_effectively_real,
     require_real,
-    worker_count,
 )
 from fhnx.solutions import FixedPoint, fixed_points
 
@@ -124,13 +123,3 @@ class TestGrid:
         with pytest.raises(ConfigError):
             Grid(**kwargs)
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("FHNX_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("FHNX_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("FHNX_THREADS", "zero")
-    assert worker_count() == 1
-    monkeypatch.setenv("FHNX_THREADS", "-3")
-    assert worker_count() == 1

@@ -3,6 +3,10 @@ the benchmark's outside-in tracer (perfbench/tracing.py) wraps exist where
 it looks for them."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +59,14 @@ def test_families_define_their_own_eval_methods():
         cls = getattr(solutions, fam)
         for meth in EVAL_METHODS:
             assert callable(cls.__dict__.get(meth)), f"{fam}.{meth}"
+
+
+def test_cli_import_loads_neither_thread_pool_nor_fft():
+    # start-up cost: numpy.fft is imported only when a semi-implicit solve runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, fhnx.cli; print(sorted({'concurrent.futures', 'numpy.fft'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

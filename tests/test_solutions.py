@@ -525,3 +525,72 @@ class TestFamilySurface:
                 utp = float(fam.eval(t + h, x)[0])
                 utm = float(fam.eval(t - h, x)[0])
                 assert u_t == pytest.approx((utp - utm) / (2 * h), abs=1e-6)
+
+
+EVAL_METHODS = ("eval", "eval_derivs", "eval_second_time_derivs")
+CONTRACT_CONSTANTS = {
+    "JacobiSnSteady": dict(c1=0.3, c2=0.8),
+    "NonClassicalExp": dict(c1=1.0, c2=1.0),
+    "TanhFrontPlus": dict(x0=0.2),
+    "TanhFrontMinus": dict(x0=-0.2),
+}
+# every catalog tag on the benchmark parameters, plus the real-k branch of
+# the exponential family (beta = 0.5)
+CONTRACT_CASES = [(tag, FIG1, CONTRACT_CONSTANTS.get(tag, {})) for tag in FAMILY_TAGS] + [
+    ("NonClassicalExp", Params(D=1.03, epsilon=0.3, beta=0.5), dict(c1=0.5, c2=2.0)),
+]
+CONTRACT_IDS = FAMILY_TAGS + ("NonClassicalExp-real-k",)
+CONTRACT_GRID = Grid(x_min=-3.0, x_max=3.0, nx=17, t_min=0.0, t_max=2.0, nt=7)
+
+
+class TestEvalContract:
+    """Each family method returns fresh float arrays of the broadcast (t, x)
+    shape, and open grids give the same bits as full meshes."""
+
+    @pytest.fixture(params=CONTRACT_CASES, ids=CONTRACT_IDS)
+    def fam(self, request):
+        tag, p, constants = request.param
+        return make_family(tag, p, **constants)
+
+    @pytest.mark.parametrize("method", EVAL_METHODS)
+    def test_open_grid_is_bitwise_the_full_mesh(self, fam, method):
+        fn = getattr(fam, method)
+        ts, xs = CONTRACT_GRID.ts(), CONTRACT_GRID.xs()
+        T, X = CONTRACT_GRID.meshes()
+        on_axes = fn(ts[:, None], xs[None, :])
+        on_mesh = fn(T, X)
+        assert len(on_axes) == len(on_mesh)
+        for a, b in zip(on_axes, on_mesh):
+            assert a.shape == b.shape == T.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("method", EVAL_METHODS)
+    def test_fresh_writable_unaliased_broadcast_shape(self, fam, method):
+        fn = getattr(fam, method)
+        ts, xs = CONTRACT_GRID.ts(), CONTRACT_GRID.xs()
+        T, X = CONTRACT_GRID.meshes()
+        for t, x in [
+            (ts[:, None], xs[None, :]),
+            (T, X),
+            (0.5, xs),
+            (ts[:, None], 0.25),
+            (T, 0.25),
+            (ts[:-1, None], xs[[0, -1]]),
+        ]:
+            out = fn(t, x)
+            shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+            for a in out:
+                assert isinstance(a, np.ndarray) and a.dtype == np.float64
+                assert a.shape == shape
+                assert a.flags.writeable
+                for arg in (t, x):
+                    assert not np.shares_memory(a, arg)
+            for i, a in enumerate(out):
+                for b in out[i + 1:]:
+                    assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("method", EVAL_METHODS)
+    def test_scalar_arguments_give_zero_dim_arrays(self, fam, method):
+        for a in getattr(fam, method)(0.5, 0.25):
+            assert isinstance(a, np.ndarray) and a.shape == ()
+            assert np.isfinite(a)

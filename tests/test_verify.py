@@ -121,16 +121,6 @@ class TestResidualSystem:
         third = residual_third_order(fam, p, STEADY_GRID, "finite-difference")
         assert third.linf_u < 1e-5
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        fam = make_family("NonClassicalExp", FIG1)
-        monkeypatch.setenv("FHNX_THREADS", "1")
-        rep1 = residual_system(fam, FIG1, SPACETIME_GRID, "analytic")
-        monkeypatch.setenv("FHNX_THREADS", "4")
-        rep4 = residual_system(fam, FIG1, SPACETIME_GRID, "analytic")
-        assert rep1.linf_u == rep4.linf_u
-        assert rep1.l2_u == rep4.l2_u
-        assert rep1.worst_point == rep4.worst_point
-
 
 class TestThirdOrder:
     def test_zero_state_exactly_zero(self):
