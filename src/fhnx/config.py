@@ -29,6 +29,7 @@ and win over file values.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,16 +98,18 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     },
 }
 
+
 def _coerce(section: str, key: str, raw: str):
-    kind, _ = SCHEMA[section][key]
+    kind, default = SCHEMA[section][key]
+    # floats, and 'auto' keys set to anything else, must be finite numbers
+    numeric = kind is float or (default == "auto" and raw != "auto")
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return str(raw)
+        value = kind(raw)
+        if numeric and not math.isfinite(float(raw)):
+            raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+    return value
 
 
 @dataclass(frozen=True)

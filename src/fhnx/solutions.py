@@ -268,32 +268,42 @@ def closed_form_root_match(p: Params, which: str) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def nonclassical_k(p: Params) -> complex:
-    """Wavenumber of the separable exponential family.
+def _wavenumber(D, e, b):
+    """Literal k, simplified k2 = (9 - 6 b - 2 e b**2) / (6 b D) and the
+    mismatch |k**2 - k2| / max(1, |k2|), elementwise, without warnings.
 
-    Evaluated two ways: the literal radical expression
-    sqrt(-2 e^4 b^4 - 6 e^3 b^3 + 9 e^3 b^2) sqrt(6) / (6 e b sqrt(D)
-    sqrt(e b)) in complex arithmetic, and the simplified closed form
-    k**2 = (9 - 6 beta - 2 eps beta**2) / (6 beta D).  Both must agree to
-    1e-12 relative; the literal principal value is returned.  Imaginary k is
-    legitimate (spatially oscillatory solutions) and returned as such.
+    k = sqrt(-2 e^4 b^4 - 6 e^3 b^3 + 9 e^3 b^2) sqrt(6) / (6 e b sqrt(D)
+    sqrt(e b)) in complex arithmetic.  The mismatch has an absolute floor:
+    near the zero set of k**2 the literal radicand cancels in float64.
     """
-    e, b, D = p.epsilon, p.beta, p.D
-    rad = -2.0 * e**4 * b**4 - 6.0 * e**3 * b**3 + 9.0 * e**3 * b**2
-    k_lit = csqrt(rad) * math.sqrt(6.0) / (6.0 * e * b * math.sqrt(D) * csqrt(e * b))
-    k2 = nonclassical_k_squared(p)
-    # relative with an absolute floor: near the zero set of k**2 the literal
-    # radicand cancels and cannot deliver relative accuracy in float64
-    if abs(k_lit**2 - k2) > 1e-12 * max(1.0, abs(k2)):
+    # scalars become float64 scalars, not 0-d arrays: their powers round
+    # exactly as Python's float ** does, so scalar results keep their bytes
+    D, e, b = (np.asarray(v, dtype=float)[()] for v in (D, e, b))
+    with np.errstate(all="ignore"):
+        rad = -2.0 * e**4 * b**4 - 6.0 * e**3 * b**3 + 9.0 * e**3 * b**2
+        k = np.sqrt(rad + 0j) * math.sqrt(6.0) / (6.0 * e * b * np.sqrt(D) * np.sqrt(e * b + 0j))
+        k2 = (9.0 - 6.0 * b - 2.0 * e * b**2) / (6.0 * b * D)
+        return k, k2, abs(k * k - k2) / np.maximum(1.0, abs(k2))
+
+
+def nonclassical_k(p: Params) -> complex:
+    """Wavenumber of the separable exponential family: the literal radical,
+    checked against the simplified k**2 to 1e-12 (``_wavenumber``).  Imaginary
+    k is legitimate (spatially oscillatory solutions); a non-finite k or k**2
+    raises SingularParameter."""
+    k, k2, mismatch = _wavenumber(p.D, p.epsilon, p.beta)
+    if not (np.isfinite(k) and np.isfinite(k2)):
+        raise SingularParameter(f"wavenumber is not finite for {p}")
+    if not mismatch <= 1e-12:
         raise FhnxError(
             "wavenumber consistency failure: literal and simplified forms disagree"
         )
-    return k_lit
+    return complex(k)
 
 
 def nonclassical_k_squared(p: Params) -> float:
     """Simplified k**2 = (9 - 6 beta - 2 eps beta**2) / (6 beta D), always real."""
-    return (9.0 - 6.0 * p.beta - 2.0 * p.epsilon * p.beta**2) / (6.0 * p.beta * p.D)
+    return float(_wavenumber(p.D, p.epsilon, p.beta)[1])
 
 
 def solve_F_exponent(p: Params, A: float, B: float) -> complex:

@@ -3,13 +3,20 @@
 Perturbations proportional to exp(sigma t + i k x) about a constant state
 (u*, v*) obey the 2x2 eigenvalue problem with matrix
 
-    [[ g'(u*) - D k**2,  -1 ],
-     [ eps,             -eps beta ]]
+    [[ a(k),  -1 ],
+     [ eps,   -eps beta ]],        a(k) = g'(u*) - D k**2 = 1 - u***2 - D k**2.
 
-where g'(u*) = 1 - u***2.  k is treated as a continuous parameter (no
-boundary conditions quantize it).  Eigenvalues come from the closed 2x2
-form sigma = (tr +/- sqrt(tr**2 - 4 det)) / 2; the test suite cross-checks
+k is treated as a continuous parameter (no boundary conditions quantize
+it).  Eigenvalues come from the closed 2x2 form sigma = (tr +/- sqrt(tr**2 -
+4 det)) / 2, for all k in one array expression; the test suite cross-checks
 them against an iterative QR eigensolver.
+
+The unstable band is closed form.  A real 2x2 matrix has an eigenvalue with
+positive real part iff tr = a - eps beta > 0 or det = eps (1 - beta a) < 0,
+i.e. iff a(k) > min(eps beta, 1/beta).  Only u diffuses, so a(k) falls with
+k and there is no Turing band: max Re sigma > 0 exactly on [0, k_c) with
+k_c = sqrt((1 - u***2 - min(eps beta, 1/beta)) / D), and nowhere when the
+radicand is negative.
 
 Classification uses only the signs of (trace, determinant, discriminant).
 Near-singular cases (|det| or |disc| below tolerance, or a pure center)
@@ -19,12 +26,12 @@ Space-dependent steady states are not classified here.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Params, g_prime
+from .core import ConfigError, OutOfDomain, Params, g_prime
 
 __all__ = [
     "jacobian_at",
@@ -38,32 +45,42 @@ __all__ = [
 _DEGENERATE_TOL = 1e-12
 
 
-def jacobian_at(p: Params, u_star: float, k: float = 0.0) -> np.ndarray:
-    """Perturbation matrix [[1 - u*^2 - D k^2, -1], [eps, -eps beta]]."""
-    if k < 0.0:
-        raise ConfigError(f"wavenumber k must be >= 0, got {k!r}")
-    return np.array(
-        [
-            [g_prime(u_star) - p.D * k * k, -1.0],
-            [p.epsilon, -p.epsilon * p.beta],
-        ]
-    )
+@np.errstate(over="ignore", invalid="ignore")
+def jacobian_at(p: Params, u_star: float, k=0.0) -> np.ndarray:
+    """Perturbation matrix [[1 - u*^2 - D k^2, -1], [eps, -eps beta]].
+
+    k may be an array; the result then holds one matrix per k, with shape
+    ``np.shape(k) + (2, 2)``.  A non-finite entry raises OutOfDomain.
+    """
+    k = np.asarray(k, dtype=float)
+    if not np.all(k >= 0.0):
+        raise ConfigError(f"wavenumber k must be >= 0, got {float(np.min(k))!r}")
+    m = np.empty(k.shape + (2, 2))
+    m[...] = [[0.0, -1.0], [p.epsilon, -p.epsilon * p.beta]]
+    # a float64 u* overflows to inf where a Python float would raise
+    m[..., 0, 0] = g_prime(np.float64(u_star)) - p.D * k * k
+    if not np.all(np.isfinite(m)):
+        raise OutOfDomain(f"stability matrix is not finite at u* = {u_star!r}")
+    return m
 
 
-def eig_closed_form(m) -> tuple[complex, complex]:
-    """Eigenvalues of a real 2x2 matrix, (tr +/- sqrt(tr^2 - 4 det)) / 2."""
+def _trace_det(m):
     m = np.asarray(m, dtype=float)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    root = cmath.sqrt(tr * tr - 4.0 * det)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    return a + d, a * d - b * c
+
+
+def eig_closed_form(m):
+    """Eigenvalues (tr +/- sqrt(tr^2 - 4 det)) / 2 of real 2x2 matrices
+    stacked on the last two axes; a single matrix gives two complex scalars."""
+    tr, det = _trace_det(m)
+    root = np.sqrt(tr * tr - 4.0 * det + 0j)
     return (tr + root) / 2.0, (tr - root) / 2.0
 
 
 def classify_matrix(m, tol: float = _DEGENERATE_TOL) -> tuple[tuple[complex, complex], str]:
     """Eigenvalues plus a trace-determinant-chart label for a 2x2 matrix."""
-    m = np.asarray(m, dtype=float)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    tr, det = _trace_det(m)
     disc = tr * tr - 4.0 * det
     eigs = eig_closed_form(m)
     if abs(det) < tol or abs(disc) < tol or (det > 0.0 and abs(tr) < tol):
@@ -80,11 +97,6 @@ def classify(p: Params, u_star: float, k: float = 0.0) -> tuple[tuple[complex, c
     return classify_matrix(jacobian_at(p, u_star, k))
 
 
-def _re_sigma_max(p: Params, u_star: float, k: float) -> float:
-    s1, s2 = eig_closed_form(jacobian_at(p, u_star, k))
-    return max(s1.real, s2.real)
-
-
 @dataclass(frozen=True)
 class DispersionSweep:
     """Growth-rate samples sigma(k) and the zero crossings of max Re sigma."""
@@ -93,47 +105,28 @@ class DispersionSweep:
     sigma: np.ndarray  # shape (n, 2), complex
     band_edges: tuple[float, ...]
 
-    @property
-    def re_sigma_max(self) -> np.ndarray:
-        return self.sigma.real.max(axis=1)
-
     def rows(self):
         """CSV-ready rows (k, re_sigma_1, re_sigma_2, im_sigma_1, im_sigma_2)."""
         for k, (s1, s2) in zip(self.ks, self.sigma):
             yield (float(k), s1.real, s2.real, s1.imag, s2.imag)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dispersion_sweep(p: Params, u_star: float, k_max: float, n: int) -> DispersionSweep:
-    """Sample sigma(k) on [0, k_max] and bisect the sign changes of
-    max Re sigma to 1e-8 in k (unstable band endpoints)."""
+    """Sample sigma(k) on [0, k_max]; its band edge is k_c if k_c <= k_max.
+
+    max Re sigma > 0 iff tr > 0 or det < 0, which holds iff a(k) > min(eps
+    beta, 1/beta), and a(k) falls with k (module docstring).  A non-finite
+    sample raises OutOfDomain.
+    """
     if not k_max > 0.0:
         raise ConfigError(f"k_max must be > 0, got {k_max!r}")
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got n={n!r}")
     ks = np.linspace(0.0, k_max, int(n))
-    sigma = np.empty((len(ks), 2), dtype=complex)
-    for i, k in enumerate(ks):
-        sigma[i] = eig_closed_form(jacobian_at(p, u_star, float(k)))
-
-    f = sigma.real.max(axis=1)
-    edges = []
-    for i in range(len(ks) - 1):
-        if f[i] == 0.0:
-            edges.append(float(ks[i]))
-        elif f[i] * f[i + 1] < 0.0:
-            lo, hi = float(ks[i]), float(ks[i + 1])
-            flo = f[i]
-            while hi - lo > 1e-8:
-                mid = 0.5 * (lo + hi)
-                fm = _re_sigma_max(p, u_star, mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            edges.append(0.5 * (lo + hi))
-    if f[-1] == 0.0:
-        edges.append(float(ks[-1]))
-    return DispersionSweep(ks=ks, sigma=sigma, band_edges=tuple(edges))
+    sigma = np.stack(eig_closed_form(jacobian_at(p, u_star, ks)), axis=-1)
+    if not np.all(np.isfinite(sigma)):
+        raise OutOfDomain(f"growth rate sigma(k) is not finite at u* = {u_star!r}")
+    radicand = g_prime(u_star) - min(p.epsilon * p.beta, 1.0 / p.beta)
+    k_c = math.sqrt(radicand / p.D) if radicand >= 0.0 else math.inf
+    return DispersionSweep(ks=ks, sigma=sigma, band_edges=(k_c,) if k_c <= k_max else ())

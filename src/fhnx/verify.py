@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FhnxError, Grid, OutOfDomain, Params, SingularParameter, g
+from .core import FhnxError, Grid, OutOfDomain, Params, SingularParameter, g, g_prime
 from .solutions import FSamples, SolutionFamily, nonclassical_k_squared
 
 __all__ = [
@@ -224,8 +224,8 @@ def _third_order_expr(p: Params, u, u_t, u_xx, u_tt, u_txx):
         + e * b * p.D * u_xx
         - e * b * u_t
         - e * u
-        + u_t * (1.0 - u**2)
-        + e * b * (u - u**3 / 3.0)
+        + u_t * g_prime(u)
+        + e * b * g(u)
         - e * p.c
     )
 

@@ -21,9 +21,13 @@ SMALL_GRID = [
 ]
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
 def run_json(capsys, argv):
     code = main(argv)
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     jsonschema.validate(payload, SCHEMA)
     return code, payload
 
@@ -67,6 +71,19 @@ class TestConfig:
             load_config(None, ["no-dots"])
         with pytest.raises(ConfigError):
             load_config(None, ["params.nope=1"])
+
+    @pytest.mark.parametrize("key", ["family.x0", "stability.u_star", "ansatz.a"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_number_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_config(None, [f"{key}={raw}"])
+
+    def test_auto_keys_take_auto_or_a_number(self):
+        cfg = load_config(None, ["stability.u_star=auto", "ansatz.a=-0.25"])
+        assert cfg.section("stability")["u_star"] == "auto"
+        assert cfg.section("ansatz")["a"] == "-0.25"  # echoed as given
+        with pytest.raises(ConfigError, match="bad value for stability.u_star"):
+            load_config(None, ["stability.u_star=origin"])
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
@@ -399,6 +416,60 @@ class TestConstraints:
                                   "--param", "ansatz.k_sweep=50",
                                   "--param", "run.seed=7"])
         assert p3["result"]["wavenumber"]["sweep_worst_rel"] != p1["result"]["wavenumber"]["sweep_worst_rel"]
+
+
+# Values at the edges of the float range and out-of-range counts must end in
+# a typed error: no traceback, no RuntimeWarning and no NaN/Infinity output.
+# (argv, exit code, start of the stderr message)
+TYPED_FAILURES = [
+    (["stability", "--param", "stability.u_star=1e200"], 3,
+     "domain error: stability matrix is not finite at u* = 1e+200"),
+    (["stability", "--json", "--param", "params.epsilon=1e200"], 3,
+     "domain error: growth rate sigma(k) is not finite at u* ="),
+    (["stability", "--json", "--param", "params.d=1e200"], 3,
+     "domain error: growth rate sigma(k) is not finite at u* ="),
+    (["stability", "--json", "--param", "stability.k_max=1e200"], 3,
+     "domain error: stability matrix is not finite at u* ="),
+    (["stability", "--json", "--param", "stability.u_star=2", "--param", "params.beta=1e-320"], 3,
+     "domain error: v* = u*/beta is not finite at u* = 2.0"),
+    (["simulate", "--param", "params.beta=1e-300"], 3, "domain error: wavenumber is not finite"),
+    (["verify", "--param", "params.epsilon=1e-300"], 3, "domain error: wavenumber is not finite"),
+    (["figure", "--figure", "1", "--param", "params.epsilon=1e-300"], 3,
+     "domain error: wavenumber is not finite"),
+    (["verify", "--param", "params.beta=1e200"], 3, "domain error: wavenumber is not finite"),
+    (["constraints", "--param", "params.beta=1e200"], 3, "domain error: wavenumber is not finite"),
+    (["constraints", "--param", "ansatz.n=0"], 2, "config error: ansatz.n must be >= 1"),
+    (["constraints", "--param", "ansatz.n=-5"], 2, "config error: ansatz.n must be >= 1"),
+    (["constraints", "--param", "ansatz.k_sweep=-1"], 2,
+     "config error: ansatz.k_sweep must be >= 0"),
+    (["verify", "--json", "--param", "family.tag=TanhFrontPlus", "--param", "family.x0=inf"], 2,
+     "config error: family.x0 must be finite"),
+    (["stability", "--param", "stability.u_star=nan"], 2,
+     "config error: stability.u_star must be finite"),
+    (["constraints", "--param", "ansatz.a=-inf"], 2,
+     "config error: ansatz.a must be finite"),
+]
+
+
+class TestTypedFailures:
+    @pytest.mark.parametrize("argv,code,message", TYPED_FAILURES,
+                             ids=[" ".join(a for a in case[0] if a != "--param")
+                                  for case in TYPED_FAILURES])
+    def test_exit_code_and_message_without_warnings(self, capsys, argv, code, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        captured = capsys.readouterr()
+        assert caught == []
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert "Traceback" not in captured.err
+
+    def test_empty_wavenumber_sweep_passes(self, capsys):
+        code, payload = run_json(capsys, ["constraints", "--json", "--param", "ansatz.k_sweep=0"])
+        assert code == 0
+        assert payload["result"]["wavenumber"]["sweep_count"] == 0
+        assert payload["result"]["wavenumber"]["sweep_worst_rel"] == 0.0
 
 
 class TestJsonSchemaEveryCommand:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from fhnx.solutions import (
     family_catalog,
     fixed_points,
     make_family,
+    _wavenumber,
     nonclassical_k,
     nonclassical_k_squared,
     sample_F,
@@ -283,6 +285,34 @@ class TestNonClassicalK:
             k = nonclassical_k(p)
             k2 = nonclassical_k_squared(p)
             assert abs(k * k - k2) <= 1e-12 * max(1.0, abs(k2))
+
+    def test_array_sweep_matches_per_draw_reference_loop(self):
+        # the per-draw form: cmath radical and Python-float k**2
+        eps = np.finfo(float).eps
+        draws = np.random.default_rng(8).uniform((0.1, 0.01, 0.5), (5.0, 2.0, 4.0), size=(300, 3))
+        k, k2, mismatch = _wavenumber(*draws.T)
+        assert np.all(mismatch <= 1e-12)
+        for (D, e, b), k_i, k2_i in zip(draws, k, k2):
+            rad = -2.0 * e**4 * b**4 - 6.0 * e**3 * b**3 + 9.0 * e**3 * b**2
+            den = 6.0 * e * b * math.sqrt(D) * cmath.sqrt(e * b)
+            k_ref = cmath.sqrt(rad) * math.sqrt(6.0) / den
+            k2_ref = (9.0 - 6.0 * b - 2.0 * e * b**2) / (6.0 * b * D)
+            p = Params(D, e, b)
+            # scalar k**2 keeps its bytes; complex division may round k differently
+            assert nonclassical_k_squared(p) == k2_ref
+            assert abs(nonclassical_k(p) - k_ref) <= 4 * eps * abs(k_ref)
+            # array powers need not round like libm's pow; rad cancels near k = 0
+            assert abs(k2_i - k2_ref) <= 4 * eps * max(1.0, abs(k2_ref))
+            assert abs(k_i - k_ref) <= 64 * eps * max(1.0, abs(k_ref))
+
+    @pytest.mark.parametrize(
+        "p",
+        [Params(1.03, 0.3, 1e-300), Params(1.03, 1e-300, 2.0), Params(1.03, 0.3, 1e200),
+         Params(1e-300, 0.3, 1e-10)],
+    )
+    def test_non_finite_wavenumber_is_singular_parameter(self, p):
+        with pytest.raises(SingularParameter, match="wavenumber is not finite"):
+            nonclassical_k(p)
 
 
 class TestNonClassicalFamily:

@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from fhnx.core import ConfigError, Params
+from fhnx.core import ConfigError, OutOfDomain, Params
 from fhnx.solutions import fixed_points
 from fhnx.stability import (
     classify,
@@ -37,6 +39,41 @@ class TestJacobian:
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigError):
             jacobian_at(FIG1, 0.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [0, 3, -1])
+    def test_negative_k_anywhere_in_array_rejected(self, bad):
+        ks = np.linspace(0.0, 2.0, 4).reshape(2, 2)
+        ks.flat[bad] = -1e-300
+        with pytest.raises(ConfigError):
+            jacobian_at(FIG1, 0.0, ks)
+
+    def test_array_matches_scalar_calls_and_cmath_loop_bitwise(self):
+        rng = np.random.default_rng(17)
+        ks = rng.uniform(0.0, 5.0, size=(3, 7))
+        ks[0, 0] = 0.0
+        for u_star in (0.0, SQRT15, -0.3):
+            m = jacobian_at(FIG1, u_star, ks)
+            s1, s2 = eig_closed_form(m)
+            assert m.shape == (3, 7, 2, 2) and s1.shape == s2.shape == (3, 7)
+            for idx in np.ndindex(ks.shape):
+                m_k = jacobian_at(FIG1, u_star, float(ks[idx]))
+                assert m_k.shape == (2, 2)
+                assert m[idx].tobytes() == m_k.tobytes()
+                sigma = np.array([s1[idx], s2[idx]]).tobytes()
+                assert sigma == np.array(eig_closed_form(m_k)).tobytes()
+                # the per-k form: Python floats and cmath
+                k = float(ks[idx])
+                a, b = 1.0 - u_star**2 - FIG1.D * k * k, -1.0
+                c, d = FIG1.epsilon, -FIG1.epsilon * FIG1.beta
+                tr, det = a + d, a * d - b * c
+                root = cmath.sqrt(tr * tr - 4.0 * det)
+                assert sigma == np.array([(tr + root) / 2.0, (tr - root) / 2.0]).tobytes()
+
+    def test_overflowing_entry_is_domain_error(self):
+        with pytest.raises(OutOfDomain, match="u\\* = 1e\\+200"):
+            jacobian_at(FIG1, 1e200, 0.0)
+        with pytest.raises(OutOfDomain):
+            jacobian_at(FIG1, 0.0, np.array([0.0, 1e200]))
 
 
 class TestClassification:
@@ -111,28 +148,31 @@ class TestClassification:
 class TestDispersion:
     def test_origin_has_unstable_band_cutoff(self):
         sweep = dispersion_sweep(FIG1, 0.0, 5.0, 101)
-        f = sweep.re_sigma_max
+        f = sweep.sigma.real.max(axis=1)
         assert f[0] > 0.0  # saddle at k = 0
         assert f[-1] < 0.0  # damped at large k
         assert len(sweep.band_edges) == 1
         kc = sweep.band_edges[0]
-        # bisection refined to 1e-8 in k
-        from fhnx.stability import _re_sigma_max
+        # closed form sqrt((1 - min(eps beta, 1/beta)) / D) at u* = 0
+        assert kc == pytest.approx(math.sqrt(0.5 / 1.03), rel=1e-15)
 
-        assert abs(_re_sigma_max(FIG1, 0.0, kc)) < 1e-7
-        assert _re_sigma_max(FIG1, 0.0, kc - 1e-4) > 0.0
-        assert _re_sigma_max(FIG1, 0.0, kc + 1e-4) < 0.0
+        def re_sigma_max(k):
+            return max(s.real for s in eig_closed_form(jacobian_at(FIG1, 0.0, k)))
+
+        assert abs(re_sigma_max(kc)) < 1e-14
+        assert re_sigma_max(kc - 1e-4) > 0.0
+        assert re_sigma_max(kc + 1e-4) < 0.0
 
     def test_stable_point_has_no_turing_band(self):
         sweep = dispersion_sweep(FIG1, SQRT15, 5.0, 101)
-        assert np.all(sweep.re_sigma_max < 0.0)
+        assert np.all(sweep.sigma.real.max(axis=1) < 0.0)
         assert sweep.band_edges == ()
 
     def test_vanishing_diffusion_is_flat(self):
         p = Params(D=1e-12, epsilon=0.3, beta=2.0)
         sweep = dispersion_sweep(p, 0.0, 1.0, 21)
-        base = sweep.re_sigma_max[0]
-        assert np.max(np.abs(sweep.re_sigma_max - base)) < 1e-6
+        f = sweep.sigma.real.max(axis=1)
+        assert np.max(np.abs(f - f[0])) < 1e-6
 
     def test_diffusion_dominated_tail_is_damped(self):
         # once -D k**2 dominates, the diffusive branch decreases monotonically
@@ -142,10 +182,15 @@ class TestDispersion:
         k0 = 10.0 * math.sqrt(abs(m[0, 0]) / FIG1.D)
         sweep = dispersion_sweep(FIG1, 0.0, 4.0 * k0, 201)
         tail = sweep.ks >= k0
-        re_max = sweep.re_sigma_max[tail]
+        re_max = sweep.sigma.real.max(axis=1)[tail]
         re_min = sweep.sigma.real.min(axis=1)[tail]
         assert np.all(re_max <= -FIG1.epsilon * FIG1.beta)
         assert np.all(np.diff(re_min) < 0.0)
+
+    def test_non_finite_growth_rate_is_domain_error(self):
+        p = Params(D=1.03, epsilon=1e200, beta=2.0)
+        with pytest.raises(OutOfDomain, match="u\\* = 0.0"):
+            dispersion_sweep(p, 0.0, 5.0, 11)
 
     @pytest.mark.parametrize("k_max,n", [(5.0, 1), (0.0, 11), (-1.0, 11)])
     def test_bad_sample_range_rejected(self, k_max, n):
@@ -160,6 +205,40 @@ class TestDispersion:
         assert all(len(r) == 5 for r in rows)
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def _sweep_cases(draw):
+    p = Params(
+        D=draw(_log_uniform(1e-2, 1e2)),
+        epsilon=draw(_log_uniform(1e-2, 1e1)),
+        beta=draw(_log_uniform(1e-1, 1e1)),
+    )
+    fixed = st.sampled_from([fp.u for fp in fixed_points(p)])
+    u_star = draw(st.one_of(fixed, st.floats(-3.0, 3.0)))
+    return p, u_star, draw(_log_uniform(1e-2, 1e2)), draw(st.integers(2, 400))
+
+
+class TestBandEdgeProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_sweep_cases())
+    def test_edges_are_the_sign_changes_of_lapack_eigenvalues(self, case):
+        p, u_star, k_max, n = case
+        sweep = dispersion_sweep(p, u_star, k_max, n)
+        m = jacobian_at(p, u_star, sweep.ks)
+        f = np.linalg.eigvals(m).real.max(axis=-1)
+        # a sign is only meaningful above the eigensolver's rounding level;
+        # this drops samples that sit on the edge itself (e.g. beta = eps = 1)
+        assume(np.all(np.abs(f) > 1e-9 * np.abs(m).sum(axis=(-2, -1))))
+        changes = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+        assert len(sweep.band_edges) == len(changes)
+        for k_c, i in zip(sweep.band_edges, changes):
+            assert sweep.ks[i] < k_c < sweep.ks[i + 1]
+            assert f[i] > 0.0 > f[i + 1]
+
+
 class TestReport:
     def test_report_fields(self):
         eigs, label = classify(FIG1, 0.0, k=0.0)
@@ -167,7 +246,7 @@ class TestReport:
         assert fixed_points(FIG1)[1].v == 0.0
         assert len(eigs) == 2
         sweep = dispersion_sweep(FIG1, 0.0, 5.0, 11)
-        assert len(sweep.ks) == len(sweep.re_sigma_max) == 11
+        assert sweep.ks.shape == (11,) and sweep.sigma.shape == (11, 2)
 
     def test_three_fixed_points_at_benchmark(self):
         fps = fixed_points(FIG1)
