@@ -12,7 +12,6 @@ digits, and JSON output validates against schemas/cli-output.schema.json.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -54,23 +53,31 @@ from .verify import (
 _DOMAIN_ERRORS = (OutOfDomain, SingularParameter, NonPositiveParameter, ComplexResult)
 
 
-def _fmt(x) -> str:
-    """17 significant digits: round-trip exact for 64-bit floats."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
+def _write_csv(path: Path, header: list[str], *columns) -> None:
+    """Write one CSV row per element of the columns' broadcast shape, in C order.
 
+    Floats are spelled %.17g (round-trip exact), other cells with str; nothing
+    is quoted.  Each leading index (a frame, or a row of a 1-D table) is
+    formatted and written at once; a column of leading length 1 only once.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, columns)) or (1,)
+    columns = [np.reshape(c, (1,) * (len(shape) - np.ndim(c)) + np.shape(c)) for c in columns]
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+    def cells(col, i):
+        spell = "%.17g".__mod__ if col.dtype.kind == "f" else str
+        strings = list(map(spell, col[i:i + 1].ravel().tolist()))
+        if col.shape[1:] == shape[1:]:
+            return strings
+        strings = np.array(strings, dtype=object).reshape(col.shape[1:])
+        return np.broadcast_to(strings, shape[1:]).ravel().tolist()
+
+    fixed = [cells(c, 0) if len(c) == 1 else None for c in columns]
+    row = ",".join(["{}"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        fh.write(",".join(header) + "\r\n")
+        for i in range(shape[0]):
+            frame = [cells(c, i) if f is None else f for c, f in zip(columns, fixed)]
+            fh.write("".join(map(row.format, *frame)))
 
 
 def _emit_json(payload: dict) -> None:
@@ -184,17 +191,16 @@ def _cmd_verify(args) -> int:
         result["closed_form_root_match"] = root_match
 
     if out is not None:
-        rows = []
-        for name, rep in reports.items():
-            rows.append((fam.tag, name, "u", rep.method, rep.linf_u, rep.l2_u,
-                         rep.worst_point[0], rep.worst_point[1], rep.sample_count))
-            rows.append((fam.tag, name, "v", rep.method, rep.linf_v, rep.l2_v,
-                         rep.worst_point[0], rep.worst_point[1], rep.sample_count))
+        rows = [
+            (fam.tag, name, eq, rep.method, linf, l2, *rep.worst_point, rep.sample_count)
+            for name, rep in reports.items()
+            for eq, linf, l2 in (("u", rep.linf_u, rep.l2_u), ("v", rep.linf_v, rep.l2_v))
+        ]
         _write_csv(
             out / "residuals.csv",
             ["family", "check", "equation", "method", "linf", "l2",
              "worst_t", "worst_x", "sample_count"],
-            rows,
+            *zip(*rows),
         )
         (out / "verify_report.json").write_text(
             json.dumps(_envelope("verify", cfg, result, passed), sort_keys=True, indent=2) + "\n"
@@ -258,7 +264,7 @@ def _cmd_stability(args) -> int:
             _write_csv(
                 out / f"dispersion_{idx}.csv",
                 ["k", "re_sigma_1", "re_sigma_2", "im_sigma_1", "im_sigma_2"],
-                sweep.rows(),
+                sweep.ks, *sweep.sigma.real.T, *sweep.sigma.imag.T,
             )
 
     if use_json:
@@ -266,9 +272,9 @@ def _cmd_stability(args) -> int:
     else:
         for pt in result_points:
             print(
-                f"u*={_fmt(pt['u_star'])} v*={_fmt(pt['v_star'])}: "
+                f"u*={pt['u_star']:.17g} v*={pt['v_star']:.17g}: "
                 f"{pt['classification']}; band edges: "
-                + (", ".join(_fmt(e) for e in pt["band_edges"]) or "(none)")
+                + (", ".join(f"{e:.17g}" for e in pt["band_edges"]) or "(none)")
             )
     return 0
 
@@ -311,7 +317,7 @@ def _cmd_simulate(args) -> int:
             _write_csv(
                 out / "convergence.csv",
                 ["nx", "nt", "dx", "dt", "err_linf_u"],
-                [(lv["nx"], lv["nt"], lv["dx"], lv["dt"], lv["err"]) for lv in study.levels],
+                *zip(*(lv.values() for lv in study.levels)),
             )
 
     sim = run(fam, p, sim_cfg)
@@ -320,18 +326,10 @@ def _cmd_simulate(args) -> int:
 
     if out is not None:
         _write_csv(
-            out / "errors.csv",
-            ["t", "linf_u", "l2_u", "linf_v", "l2_v"],
-            [(sim.ts[i], *sim.errors[i]) for i in range(len(sim.ts))],
+            out / "errors.csv", ["t", "linf_u", "l2_u", "linf_v", "l2_v"], sim.ts, *sim.errors.T
         )
         _write_csv(
-            out / "trajectory.csv",
-            ["t", "x", "u", "v"],
-            (
-                (sim.ts[i], sim.xs[j], sim.us[i, j], sim.vs[i, j])
-                for i in range(len(sim.ts))
-                for j in range(len(sim.xs))
-            ),
+            out / "trajectory.csv", ["t", "x", "u", "v"], sim.ts[:, None], sim.xs, sim.us, sim.vs
         )
         write_frames(out / "frames.bin", sim.ts, sim.xs, sim.us, sim.vs)
 
@@ -377,15 +375,7 @@ def _cmd_figure(args) -> int:
 
     out = out or Path(".")
     csv_name = f"figure{args.figure}_{what}.csv"
-    _write_csv(
-        out / csv_name,
-        ["t", "x", what],
-        (
-            (ts[i], xs[j], field[i, j])
-            for i in range(grid.nt)
-            for j in range(grid.nx)
-        ),
-    )
+    _write_csv(out / csv_name, ["t", "x", what], ts[:, None], xs, field)
     script = _GNUPLOT_TEMPLATE.format(what=what, nt=grid.nt, nx=grid.nx, csv=csv_name)
     (out / f"figure{args.figure}.gp").write_text(script)
 
@@ -455,10 +445,10 @@ def _cmd_constraints(args) -> int:
     if use_json:
         _emit_json(_envelope("constraints", cfg, result, passed))
     else:
-        print(f"A = {_fmt(A)}, B = {_fmt(B)}")
+        print(f"A = {A:.17g}, B = {B:.17g}")
         for name, value in report.to_dict().items():
             print(f"{name}: {value:.3e}")
-        print(f"k = {_fmt(k_here.real)} + {_fmt(k_here.imag)} i, k^2 = {_fmt(nonclassical_k_squared(p))}")
+        print(f"k = {k_here.real:.17g} + {k_here.imag:.17g} i, k^2 = {nonclassical_k_squared(p):.17g}")
         print(f"wavenumber identity sweep ({s['k_sweep']} draws): worst rel {worst_rel:.3e}")
         print("PASS" if passed else "FAIL")
     return 0 if passed else 1

@@ -35,6 +35,7 @@ offending step index; the initial state is checked as step 0.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -326,18 +327,17 @@ def write_frames(path, ts, xs, us, vs) -> None:
 
 
 def read_frames(path):
-    """Inverse of write_frames; returns (ts, xs, us, vs)."""
+    """Inverse of write_frames; returns (ts, xs, us, vs).  A file whose size
+    disagrees with its header raises ConfigError, as a bad magic does."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FRAME_MAGIC:
-            raise ConfigError(f"bad frame magic {magic!r}")
-        nx, nt = struct.unpack("<II", fh.read(8))
-        xs = np.frombuffer(fh.read(8 * nx), dtype="<f8")
-        ts = np.empty(nt)
-        us = np.empty((nt, nx))
-        vs = np.empty((nt, nx))
-        for i in range(nt):
-            (ts[i],) = struct.unpack("<d", fh.read(8))
-            us[i] = np.frombuffer(fh.read(8 * nx), dtype="<f8")
-            vs[i] = np.frombuffer(fh.read(8 * nx), dtype="<f8")
-    return ts, xs, us, vs
+        head = fh.read(12)
+        if head[:4] != FRAME_MAGIC:
+            raise ConfigError(f"bad frame magic {head[:4]!r}")
+        nx, nt = struct.unpack("<II", head[4:]) if len(head) == 12 else (0, 0)
+        size = 12 + 8 * (nx + nt * (1 + 2 * nx))
+        held = os.fstat(fh.fileno()).st_size
+        if held != size:
+            raise ConfigError(f"frame file holds {held} bytes; its header asks for {size}")
+        xs = np.fromfile(fh, "<f8", nx)
+        frames = np.fromfile(fh, "<f8", nt * (1 + 2 * nx)).reshape(nt, 1 + 2 * nx)
+    return frames[:, 0], xs, frames[:, 1:1 + nx], frames[:, 1 + nx:]

@@ -318,15 +318,18 @@ def solve_F_exponent(p: Params, A: float, B: float) -> complex:
     e, b, D = p.epsilon, p.beta, p.D
     if e * b + A == 0.0:
         raise SingularParameter("eps*beta + A = 0 makes the ansatz exponent singular")
-    rad = (
-        A**3 * b * e
-        + A**4
-        - A**2 * b * e
-        + B**2 * b * e
-        - A**3
-        + A**2 * e
-        + A * B**2
-    )
+    try:
+        rad = (
+            A**3 * b * e
+            + A**4
+            - A**2 * b * e
+            + B**2 * b * e
+            - A**3
+            + A**2 * e
+            + A * B**2
+        )
+    except OverflowError:  # a Python-float power of A or B
+        raise OutOfDomain(f"ansatz exponent overflows float64 at A = {A!r}, B = {B!r}") from None
     return csqrt(rad) / (A * math.sqrt(D) * csqrt(e * b + A))
 
 
@@ -357,6 +360,7 @@ class FSamples(NamedTuple):
     F2: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_F(p: Params, A: float, B: float, c1: float, c2: float, xs) -> FSamples:
     """Sample F and F'' = E**2 F on xs for the constraint checker."""
     xs = np.asarray(xs, dtype=float)
@@ -530,7 +534,10 @@ class JacobiSnSteady(SolutionFamily):
             raise OutOfDomain(
                 "sn steady state requires beta > 6/5 (argument radicand negative)"
             )
-        m = self.c2 * math.sqrt(5.0 * b**2 - 6.0 * b) / five
+        try:
+            m = self.c2 * math.sqrt(5.0 * b**2 - 6.0 * b) / five
+        except OverflowError:
+            raise OutOfDomain(f"sn modulus overflows float64 at beta = {b!r}") from None
         if m < 0.0 or m > 1.0 + _MODULUS_DUST:
             raise OutOfDomain(f"sn modulus {m!r} outside [0, 1]")
         m = min(m, 1.0)

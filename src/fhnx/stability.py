@@ -105,11 +105,6 @@ class DispersionSweep:
     sigma: np.ndarray  # shape (n, 2), complex
     band_edges: tuple[float, ...]
 
-    def rows(self):
-        """CSV-ready rows (k, re_sigma_1, re_sigma_2, im_sigma_1, im_sigma_2)."""
-        for k, (s1, s2) in zip(self.ks, self.sigma):
-            yield (float(k), s1.real, s2.real, s1.imag, s2.imag)
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def dispersion_sweep(p: Params, u_star: float, k_max: float, n: int) -> DispersionSweep:

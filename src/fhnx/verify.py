@@ -250,6 +250,7 @@ class AnsatzConstraintReport(NamedTuple):
         return dict(self._asdict())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_ansatz_constraints(
     p: Params, A: float, B: float, samples: FSamples
 ) -> AnsatzConstraintReport:
@@ -258,11 +259,13 @@ def check_ansatz_constraints(
     At the solved branch A = -eps beta / 3, B = 0 the first constraint
     factors as -F**3 A**3 (eps beta + 3A) and vanishes, the two B-carrying
     constraints vanish identically, and the differential constraint reduces
-    to F'' = k**2 F.
+    to F'' = k**2 F.  A residual that overflows float64 raises OutOfDomain.
     """
     if A == 0.0:
         raise SingularParameter("A = 0 degenerates the constraint system")
     e, b, D = p.epsilon, p.beta, p.D
+    # float64 powers round as Python's do but overflow to inf instead of raising
+    A, B = np.float64(A), np.float64(B)
     F = np.asarray(samples.F)
     F2 = np.asarray(samples.F2)
 
@@ -284,13 +287,17 @@ def check_ansatz_constraints(
         )
 
     k2 = nonclassical_k_squared(p)
-    return AnsatzConstraintReport(
+    report = AnsatzConstraintReport(
         eq19=float(np.max(np.abs(eq19))),
         eq20=float(np.max(np.abs(eq20))),
         eq21_printed=float(np.max(np.abs(eq21(F2)))),
         eq21_reduced=float(np.max(np.abs(eq21(k2 * F)))),
         eq22=float(abs(eq22)),
     )
+    if not np.all(np.isfinite(report)):
+        raise OutOfDomain(f"ansatz constraint residuals overflow float64 at A = {float(A)!r}, "
+                          f"B = {float(B)!r} (max |F| = {float(np.max(np.abs(F))):.3e})")
+    return report
 
 
 @np.errstate(over="ignore", invalid="ignore")

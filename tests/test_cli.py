@@ -5,9 +5,10 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from fhnx.cli import main
+from fhnx.cli import _write_csv, main
 from fhnx.config import load_config
 from fhnx.core import ConfigError
 from fhnx.solutions import make_family
@@ -362,6 +363,63 @@ class TestFigure:
         assert payload["result"]["figure"] == 1
 
 
+def _reference_cell(x) -> str:
+    """The per-cell rule _write_csv replaced, kept here as its oracle."""
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
+
+
+def _write_reference_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_reference_cell(cell) for cell in row])
+
+
+EXTREMES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+class TestCsvWriter:
+    """_write_csv against csv.writer with the per-cell rule, byte for byte."""
+
+    @pytest.mark.parametrize("nt,nx", [(7, 9), (1, 9), (7, 1)])
+    def test_frame_table(self, tmp_path, nt, nx):
+        rng = np.random.default_rng(100 * nt + nx)
+        ts, xs = np.linspace(0.0, 0.5, nt), np.linspace(-3.0, 3.0, nx)
+        us, vs = (rng.standard_normal((nt, nx)) * 10.0 ** rng.integers(-300, 300, (nt, nx))
+                  for _ in range(2))
+        for field in (us, vs):
+            field.flat[rng.permutation(field.size)[:len(EXTREMES)]] = EXTREMES
+        header = ["t", "x", "u", "v"]
+        _write_csv(tmp_path / "new.csv", header, ts[:, None], xs, us, vs)
+        _write_reference_csv(
+            tmp_path / "ref.csv", header,
+            ((ts[i], xs[j], us[i, j], vs[i, j]) for i in range(nt) for j in range(nx)),
+        )
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_row_table_of_mixed_types(self, tmp_path):
+        rows = [
+            ("NonClassicalExp", "system_analytic", "u", "analytic",
+             np.float64(2.220446049250313e-16), 1.1e-17, -0.0, 3.0, 451),
+            ("NonClassicalExp", "system_fd", "v", "finite-difference",
+             math.nan, math.inf, 5e-324, -1.7976931348623157e308, np.int64(12)),
+            ("JacobiSnSteady", "third_order_analytic", "u", "analytic",
+             0.0, -math.inf, 0.1, 1e-300, 0),
+        ]
+        header = ["family", "check", "equation", "method", "linf", "l2",
+                  "worst_t", "worst_x", "sample_count"]
+        _write_csv(tmp_path / "new.csv", header, *zip(*rows))
+        _write_reference_csv(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestOutputSection:
     def test_format_json_from_config(self, capsys):
         code = main(["list", "--param", "output.format=json"])
@@ -448,6 +506,18 @@ TYPED_FAILURES = [
      "config error: stability.u_star must be finite"),
     (["constraints", "--param", "ansatz.a=-inf"], 2,
      "config error: ansatz.a must be finite"),
+    (["constraints", "--param", "ansatz.a=1e200"], 3,
+     "domain error: ansatz exponent overflows float64 at A = 1e+200"),
+    (["constraints", "--param", "ansatz.b=1e200"], 3,
+     "domain error: ansatz exponent overflows float64 at A = -0.19999999999999998, B = 1e+200"),
+    (["constraints", "--param", "ansatz.a=1e77"], 3,
+     "domain error: ansatz constraint residuals overflow float64 at A = 1e+77"),
+    (["constraints", "--param", "family.c1=1e200"], 3,
+     "domain error: ansatz constraint residuals overflow float64"),
+    (["constraints", "--json", "--param", "family.c2=-1e200"], 3,
+     "domain error: ansatz constraint residuals overflow float64"),
+    (["verify", "--param", "family.tag=JacobiSnSteady", "--param", "params.beta=1e200"], 3,
+     "domain error: sn modulus overflows float64 at beta = 1e+200"),
 ]
 
 

@@ -284,3 +284,18 @@ class TestFrames:
             bad = tmp_path / "bad.bin"
             bad.write_bytes(b"XXXX" + raw[4:])
             read_frames(bad)
+
+    @pytest.mark.parametrize("keep", [6, 12, 20, -1, -8, -24])
+    def test_truncated_file_is_a_config_error(self, tmp_path, keep):
+        path = tmp_path / "frames.bin"
+        write_frames(path, [0.0, 0.5], [0.0, 1.0, 2.0], [[1.0, 2.0, 3.0]] * 2, [[0.0] * 3] * 2)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ConfigError, match="frame file holds .* bytes; its header asks for"):
+            read_frames(path)
+
+    def test_trailing_bytes_are_a_config_error(self, tmp_path):
+        path = tmp_path / "frames.bin"
+        write_frames(path, [0.0], [0.0, 1.0], [[1.0, 2.0]], [[0.0, 0.0]])
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ConfigError, match="asks for 68"):
+            read_frames(path)

@@ -199,10 +199,11 @@ class TestDispersion:
 
     def test_row_contract(self):
         sweep = dispersion_sweep(FIG1, 0.0, 5.0, 101)
-        rows = list(sweep.rows())
-        assert len(rows) == 101
-        assert rows[0][0] == 0.0 and rows[-1][0] == 5.0
-        assert all(len(r) == 5 for r in rows)
+        # the dispersion CSV's columns: k, re sigma_1, re sigma_2, im sigma_1, im sigma_2
+        columns = (sweep.ks, *sweep.sigma.real.T, *sweep.sigma.imag.T)
+        assert len(columns) == 5
+        assert all(np.shape(c) == (101,) for c in columns)
+        assert sweep.ks[0] == 0.0 and sweep.ks[-1] == 5.0
 
 
 def _log_uniform(lo, hi):
