@@ -298,7 +298,6 @@ def _cmd_simulate(args) -> int:
     p = cfg.params()
     fam = cfg.family(p)
     sim_cfg = cfg.sim_config()
-    sim_cfg.check_cfl(p)  # reject bad explicit steps at startup
 
     result: dict = {"family": fam.tag, "scheme": sim_cfg.scheme, "bc": sim_cfg.bc}
 

@@ -31,13 +31,17 @@ artifact decisions and reports label them as such.
 
 Any |u| or |v| beyond 1e6, or not finite, aborts the run with the
 offending step index; the initial state is checked as step 0.
+
+The time loop only steps: ``run`` measures the errors after it, a block
+of rows per family call, and ``convergence_study`` keeps only final states.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +70,8 @@ __all__ = [
 SCHEMES = ("rk4", "semi-implicit")
 BCS = ("dirichlet-from-family", "periodic")
 BLOWUP_BOUND = 1e6
+# samples of the exact family per call in the error pass
+ERROR_BLOCK = 1024
 FRAME_MAGIC = b"FHN1"
 
 
@@ -203,7 +209,8 @@ class SimResult:
     """Trajectory plus per-time error norms against the exact family.
 
     errors columns: linf_u, l2_u, linf_v, l2_v where l2 is the
-    grid-function norm sqrt(dx * sum(err**2)).
+    grid-function norm sqrt(dx * sum(err**2)); they are computed after the
+    time loop, a block of rows per family call.
     """
 
     ts: np.ndarray
@@ -219,40 +226,49 @@ class SimResult:
         return float(np.max(self.errors[:, 2]))
 
 
+def _states(ic_family: SolutionFamily, p: Params, cfg: SimConfig):
+    """Yield the checked (u, v) of each time node, t_min first.  Callers hold
+    the errstate around the whole loop: one opened here would leak into
+    the caller between yields."""
+    stepper = _Stepper(p, cfg, ic_family)
+    ts, xs = cfg.grid.ts(), cfg.grid.xs()
+    u, v = ic_family.eval(ts[0], xs)  # fresh float arrays of shape (nx,)
+    _check_blowup(u, v, 0, float(ts[0]))
+    yield u, v
+    for n in range(cfg.grid.nt - 1):
+        u, v = stepper.advance(u, v, n)
+        _check_blowup(u, v, n + 1, float(ts[n + 1]))
+        yield u, v
+
+
+def _errors(ic_family: SolutionFamily, grid: Grid, ts, us, vs) -> np.ndarray:
+    """linf and l2 = sqrt(dx * sum(err**2)) of u and of v against the exact
+    family, one row per entry of ts.  The family is evaluated axis-first on
+    blocks of at most ERROR_BLOCK samples (never less than one row)."""
+    xs = grid.xs()
+    errors = np.empty((len(ts), 4))
+    rows = max(1, ERROR_BLOCK // grid.nx)
+    for i in range(0, len(ts), rows):
+        block = slice(i, i + rows)
+        ue, ve = ic_family.eval(ts[block, None], xs)
+        for col, err in ((0, us[block] - ue), (2, vs[block] - ve)):
+            errors[block, col] = np.max(np.abs(err), axis=1)
+            errors[block, col + 1] = np.sqrt(grid.dx * np.sum(err * err, axis=1))
+    return errors
+
+
 def run(ic_family: SolutionFamily, p: Params, cfg: SimConfig) -> SimResult:
-    """Integrate from the family's t_min state to t_max, tracking errors."""
+    """Integrate from the family's t_min state to t_max, then measure errors."""
+    grid = cfg.grid
+    ts = grid.ts()
+    us = np.empty((grid.nt, grid.nx))
+    vs = np.empty((grid.nt, grid.nx))
     # _check_blowup turns every overflow or NaN into BlowUp, step 0 included
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = _Stepper(p, cfg, ic_family)
-        grid = cfg.grid
-        ts, xs = grid.ts(), grid.xs()
-        dx = grid.dx
-        u, v = ic_family.eval(ts[0], xs)  # fresh float arrays of shape (nx,)
-        _check_blowup(u, v, 0, float(ts[0]))
-
-        us = np.empty((grid.nt, grid.nx))
-        vs = np.empty((grid.nt, grid.nx))
-        errors = np.empty((grid.nt, 4))
-
-        def record(i, u, v):
-            ue, ve = ic_family.eval(ts[i], xs)
-            eu = u - ue
-            ev = v - ve
-            us[i] = u
-            vs[i] = v
-            errors[i] = (
-                float(np.max(np.abs(eu))),
-                float(np.sqrt(dx * np.sum(eu * eu))),
-                float(np.max(np.abs(ev))),
-                float(np.sqrt(dx * np.sum(ev * ev))),
-            )
-
-        record(0, u, v)
-        for n in range(grid.nt - 1):
-            u, v = stepper.advance(u, v, n)
-            _check_blowup(u, v, n + 1, float(ts[n + 1]))
-            record(n + 1, u, v)
-        return SimResult(ts=ts, xs=xs, us=us, vs=vs, errors=errors)
+        for i, (u, v) in enumerate(_states(ic_family, p, cfg)):
+            us[i], vs[i] = u, v
+        errors = _errors(ic_family, grid, ts, us, vs)
+    return SimResult(ts=ts, xs=grid.xs(), us=us, vs=vs, errors=errors)
 
 
 @dataclass(frozen=True)
@@ -275,7 +291,8 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Halve dx (and quarter dt, so dt stays proportional to dx**2) the
     given number of times; observed order = log2 of successive final-time
-    Linf(u) error ratios.  Errors at the floating-point floor raise
+    Linf(u) error ratios.  Each level keeps only its final state, not a
+    trajectory.  Errors at the floating-point floor raise
     InsufficientSignal."""
     if refinements < 2:
         raise ConfigError("need at least 2 refinements to observe an order")
@@ -284,17 +301,11 @@ def convergence_study(
     for level in range(refinements + 1):
         nx = (base_grid.nx - 1) * 2**level + 1
         nt = (base_grid.nt - 1) * 4**level + 1
-        grid = Grid(
-            x_min=base_grid.x_min,
-            x_max=base_grid.x_max,
-            nx=nx,
-            t_min=base_grid.t_min,
-            t_max=base_grid.t_max,
-            nt=nt,
-        )
+        grid = replace(base_grid, nx=nx, nt=nt)
         cfg = SimConfig(grid=grid, scheme=scheme, bc=bc, cfl_safety=cfl_safety)
-        result = run(ic_family, p, cfg)
-        err = float(result.errors[-1, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ((u, v),) = deque(_states(ic_family, p, cfg), maxlen=1)
+            err = float(_errors(ic_family, grid, grid.ts()[-1:], u[None], v[None])[0, 0])
         if err < 1e-12:
             raise InsufficientSignal(
                 f"final-time error {err:.3e} at nx={nx} is at the float floor"

@@ -435,24 +435,10 @@ class FixedPointState(SolutionFamily):
 
 
 def _fixed_point_family(p: Params, tag: str) -> FixedPointState:
-    roots = fixed_points(p)
-    if tag == "FixedPointZero":
-        idx = _match_root(0.0, roots)
-    elif tag in ("FixedPointPlus", "FixedPointMinus"):
-        u, _ = eval_fixed_point_closed_form(p, tag)
-        if not is_effectively_real(u):
-            raise OutOfDomain(
-                f"{tag}: amplitude sqrt(beta-1) is imaginary for beta < 1"
-            )
-        idx = _match_root(u.real, roots)
-    else:  # Cardano rewritings
-        u, _ = eval_fixed_point_closed_form(p, tag)
-        if not is_effectively_real(u):
-            raise OutOfDomain(f"{tag}: closed form is not effectively real")
-        idx = _match_root(u.real, roots)
+    idx = closed_form_root_match(p, tag)
     if idx is None:
-        raise BranchMismatch(f"{tag}: no oracle root matches the closed form")
-    fp = roots[idx]
+        raise OutOfDomain(f"{tag}: closed form is not effectively real")
+    fp = fixed_points(p)[idx]
     return FixedPointState(params=p, tag=tag, u_star=fp.u, v_star=fp.v)
 
 

@@ -55,6 +55,10 @@ RUNS = {
     "simulate-refine": [
         "simulate", "--refinements", "2", *SMALL, "--param", "grid.t_max=0.02",
     ],
+    "simulate-implicit": [
+        "simulate", "--scheme", "semi-implicit", "--param", "sim.bc=periodic",
+        *SMALL, "--param", "grid.t_max=0.02",
+    ],
 }
 
 

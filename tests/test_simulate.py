@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fhnx.core import (
     g,
 )
 from fhnx.simulate import (
+    ERROR_BLOCK,
     SimConfig,
     convergence_study,
     read_frames,
@@ -199,6 +201,20 @@ class TestConvergence:
         with pytest.raises(InsufficientSignal):
             convergence_study(fam, FIG1, base, refinements=2)
 
+    def test_keeps_no_trajectory(self):
+        fam = make_family("NonClassicalExp", FIG1)
+        base = Grid(x_min=-3.0, x_max=3.0, nx=21, t_min=0.0, t_max=0.4, nt=41)
+        top = 8 * ((base.nx - 1) * 4 + 1) * ((base.nt - 1) * 16 + 1)
+        tracemalloc.start()
+        try:
+            convergence_study(fam, FIG1, base, refinements=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (nt, nx) float64 array of the top level, where a stored
+        # trajectory holds two
+        assert peak < top
+
     def test_too_few_refinements_rejected(self):
         fam = make_family("NonClassicalExp", FIG1)
         base = cfl_grid(25, 0.05)
@@ -253,13 +269,47 @@ class TestBoundaryTraces:
                 calls.append(t)
                 return fam.eval(t, x)
 
-        grid = cfl_grid(21, 0.01)
+        grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
+        assert grid.nt * grid.nx <= ERROR_BLOCK
         out = run(Counting(), FIG1, SimConfig(grid=grid, scheme=scheme))
         ts, xs, ends = out.ts, out.xs, [0, -1]
         ue, ve = fam.eval(ts[:-1, None] + grid.dt, xs[ends])
         assert np.all(out.us[1:, ends] == ue)
         assert np.all(out.vs[1:, ends] == ve)
-        assert len(calls) <= grid.nt + 4
+        # three stage traces, the initial state and one error block
+        assert len(calls) <= 5
+
+
+class TestErrorPass:
+    """The blocked error pass against the per-row formula, bit for bit."""
+
+    @staticmethod
+    def per_row(fam, grid, out):
+        rows = []
+        for i in range(grid.nt):
+            ue, ve = fam.eval(out.ts[i], out.xs)
+            eu = out.us[i] - ue
+            ev = out.vs[i] - ve
+            rows.append((
+                float(np.max(np.abs(eu))),
+                float(np.sqrt(grid.dx * np.sum(eu * eu))),
+                float(np.max(np.abs(ev))),
+                float(np.sqrt(grid.dx * np.sum(ev * ev))),
+            ))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
+    @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
+    @pytest.mark.parametrize("nx, t_max", [(41, 0.5), (ERROR_BLOCK + 77, 2e-5)])
+    def test_blocks_match_per_row_formula(self, scheme, bc, nx, t_max):
+        fam = make_family("NonClassicalExp", FIG1)
+        grid = cfl_grid(nx, t_max)
+        # several blocks, the last one partial, or one row per block
+        assert grid.nt * grid.nx > 3 * ERROR_BLOCK or grid.nx > ERROR_BLOCK
+        out = run(fam, FIG1, SimConfig(grid=grid, scheme=scheme, bc=bc))
+        ref = self.per_row(fam, grid, out)
+        assert np.any(ref[1:] > 0.0)
+        assert np.array_equal(out.errors, ref)
 
 
 class TestFrames:
