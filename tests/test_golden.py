@@ -46,6 +46,10 @@ RUNS = {
         "--param", "family.tag=JacobiSnSteady",
         "--param", "family.c1=0.3", "--param", "family.c2=0.8",
     ],
+    "verify-tanhfront": [
+        *VERIFY, "--param", "family.tag=TanhFrontPlus", "--param", "family.x0=0.2",
+    ],
+    "verify-cardanoa": [*VERIFY, "--param", "family.tag=FixedPointCardanoA"],
     "figure-1": ["figure", "--figure", "1", *SMALL],
     "figure-2": ["figure", "--figure", "2", *SMALL],
     "stability": ["stability", "--param", "stability.n=9"],
