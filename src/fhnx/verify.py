@@ -20,9 +20,15 @@ error below the assertion tolerances (1e-10 analytic, 1e-5 finite
 difference by default).
 
 Families are evaluated on open grids (``ts[:, None]``, ``xs[None, :]``),
-so each transcendental factor is computed once per axis.  Evaluation runs
-with floating-point overflow silenced; a residual that is not finite
-raises OutOfDomain at the first such grid point instead.
+so each transcendental factor is computed once per axis.  A steady family
+(``fam.steady``) does not depend on t, so its checks run on one time row
+(``ts[:1, None]``) and the report widens the result to the grid: the worst
+point is the full mesh's first maximum, which lies in row 0, and l2 sums
+the squares broadcast to a contiguous (nt, nx) array, in the full mesh's
+order.  The stencils are accumulated as each shift is evaluated, so no
+more than one shifted sample is alive at a time.  Evaluation runs with
+floating-point overflow silenced; a residual that is not finite raises
+OutOfDomain at the first such grid point instead.
 """
 
 from __future__ import annotations
@@ -46,9 +52,9 @@ __all__ = [
 
 _METHODS = ("analytic", "finite-difference")
 
-# 5-point central stencil weights (4th order)
-_D1 = (1.0, -8.0, 0.0, 8.0, -1.0)  # / (12 h)
-_D2 = (-1.0, 16.0, -30.0, 16.0, -1.0)  # / (12 h**2)
+# 5-point central stencils (4th order): weights and the power of h in 12 h**order
+_D1 = ((1.0, -8.0, 0.0, 8.0, -1.0), 1)
+_D2 = ((-1.0, 16.0, -30.0, 16.0, -1.0), 2)
 _SHIFTS = (-2, -1, 0, 1, 2)
 
 
@@ -102,9 +108,11 @@ def _check_method(method: str) -> str:
     return method
 
 
-def _open_grid(grid: Grid):
+def _open_grid(grid: Grid, steady: bool):
+    """The report axes and the open grid to evaluate on: one time row for a
+    steady family, every row otherwise."""
     ts, xs = grid.ts(), grid.xs()
-    return ts, xs, ts[:, None], xs[None, :]
+    return ts, xs, ts[:1, None] if steady else ts[:, None], xs[None, :]
 
 
 def _require_finite(ts, xs, *residuals: np.ndarray) -> None:
@@ -118,21 +126,29 @@ def _require_finite(ts, xs, *residuals: np.ndarray) -> None:
         )
 
 
-def _norms(r: np.ndarray) -> tuple[float, float]:
+def _norms(r: np.ndarray, shape: tuple[int, int]) -> tuple[float, float]:
+    """linf and l2 of r over the grid of ``shape``, which r (one row or all)
+    broadcasts to; the squares are summed as one contiguous array of that
+    shape, so l2 does not depend on how many rows were evaluated."""
+
+    def sum_sq(a):
+        return float(np.sqrt(np.sum(np.ascontiguousarray(np.broadcast_to(a * a, shape)))))
+
     linf = float(np.max(np.abs(r)))
-    l2 = float(np.sqrt(np.sum(r * r)))
+    l2 = sum_sq(r)
     if not np.isfinite(l2):
         # the squares overflow: sum them scaled by linf instead
-        q = r / linf
-        l2 = linf * float(np.sqrt(np.sum(q * q)))
+        l2 = linf * sum_sq(r / linf)
     return linf, l2
 
 
 def _report(ts, xs, r_u, r_v, method: str, notes: tuple[str, ...]) -> ResidualReport:
-    """Norms of a residual pair and the grid point of the largest value."""
+    """Norms of a residual pair over the (ts, xs) grid and the grid point of
+    the largest value; the residuals may hold one row of a steady family."""
     _require_finite(ts, xs, r_u, r_v)
-    linf_u, l2_u = _norms(r_u)
-    linf_v, l2_v = _norms(r_v)
+    shape = (ts.size, xs.size)
+    linf_u, l2_u = _norms(r_u, shape)
+    linf_v, l2_v = _norms(r_v, shape)
     mag = np.maximum(np.abs(r_u), np.abs(r_v))
     it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
     return ResidualReport(
@@ -142,14 +158,28 @@ def _report(ts, xs, r_u, r_v, method: str, notes: tuple[str, ...]) -> ResidualRe
         l2_v=l2_v,
         worst_point=(float(ts[it]), float(xs[ix])),
         method=method,
-        sample_count=r_u.size,
+        sample_count=ts.size * xs.size,
         notes=notes,
     )
 
 
-def _stencil(weights, samples, h: float, order: int):
-    """Central 5-point difference: sum of w * f over the shifts / (12 h**order)."""
-    return sum(w * f for w, f in zip(weights, samples) if w) / (12.0 * h**order)
+def _stencil(samples, h: float, *diffs):
+    """Central 5-point differences, accumulated one shift at a time.
+
+    ``samples`` yields one tuple of fields per shift, in ``_SHIFTS`` order; a
+    generator is consumed as it goes, so only one shift is alive at a time.
+    Field k is differentiated by ``diffs[k]`` (``_D1`` or ``_D2``): 0 + w * f
+    summed left to right, then / (12 h**order).  Returns the differences and
+    the unshifted fields.
+    """
+    sums, centre = [0] * len(diffs), None
+    for n, (shift, fields) in enumerate(zip(_SHIFTS, samples)):
+        if shift == 0:
+            centre = fields
+        for k, ((weights, _), f) in enumerate(zip(diffs, fields)):
+            if weights[n]:
+                sums[k] += weights[n] * f
+    return [s / (12.0 * h**order) for s, (_, order) in zip(sums, diffs)], centre
 
 
 def _fd_steps(grid: Grid) -> tuple[float, float]:
@@ -165,18 +195,16 @@ def residual_system(
 ) -> ResidualReport:
     """Residual norms of both model equations for a family over a grid."""
     method = _check_method(method)
-    ts, xs, T, X = _open_grid(grid)
+    ts, xs, T, X = _open_grid(grid, fam.steady)
 
     if method == "analytic":
         u, v = fam.eval(T, X)
         u_t, _, u_xx, v_t = fam.eval_derivs(T, X)
     else:
         hx, ht = _fd_steps(grid)
-        ut_shift = [fam.eval(T + i * ht, X) for i in _SHIFTS]
-        u, v = ut_shift[2]
-        u_t = _stencil(_D1, [s[0] for s in ut_shift], ht, 1)
-        v_t = _stencil(_D1, [s[1] for s in ut_shift], ht, 1)
-        u_xx = _stencil(_D2, [fam.eval(T, X + j * hx)[0] for j in _SHIFTS], hx, 2)
+        (u_t, v_t), (u, v) = _stencil((fam.eval(T + i * ht, X) for i in _SHIFTS), ht, _D1, _D1)
+        shifted_u = ((u,) if j == 0 else fam.eval(T, X + j * hx)[:1] for j in _SHIFTS)
+        (u_xx,), _ = _stencil(shifted_u, hx, _D2)
     r_u = u_t - p.D * u_xx + v - g(u)
     r_v = v_t - p.epsilon * (-p.beta * v + p.c + u)
     return _report(ts, xs, r_u, r_v, method, fam.notes)
@@ -192,7 +220,7 @@ def residual_third_order(
     bounded by the system residual norms for catalog families.
     """
     method = _check_method(method)
-    ts, xs, T, X = _open_grid(grid)
+    ts, xs, T, X = _open_grid(grid, fam.steady)
 
     if method == "analytic":
         u, _ = fam.eval(T, X)
@@ -200,17 +228,17 @@ def residual_third_order(
         u_tt, u_txx = fam.eval_second_time_derivs(T, X)
     else:
         hx, ht = _fd_steps(grid)
-        U = {
-            (i, j): fam.eval(T + i * ht, X + j * hx)[0]
-            for i in _SHIFTS
-            for j in _SHIFTS
-        }
-        u = U[(0, 0)]
-        u_t = _stencil(_D1, [U[(i, 0)] for i in _SHIFTS], ht, 1)
-        u_tt = _stencil(_D2, [U[(i, 0)] for i in _SHIFTS], ht, 2)
-        u_xx = _stencil(_D2, [U[(0, j)] for j in _SHIFTS], hx, 2)
-        uxx_at = [_stencil(_D2, [U[(i, j)] for j in _SHIFTS], hx, 2) for i in _SHIFTS]
-        u_txx = _stencil(_D1, uxx_at, ht, 1)
+
+        def at_time_shift(i):
+            # u at x shift 0 (for u_t and u_tt) and u_xx (for u_txx)
+            (u_xx,), (u,) = _stencil(
+                (fam.eval(T + i * ht, X + j * hx)[:1] for j in _SHIFTS), hx, _D2
+            )
+            return u, u, u_xx
+
+        (u_t, u_tt, u_txx), (u, _, u_xx) = _stencil(
+            map(at_time_shift, _SHIFTS), ht, _D1, _D2, _D1
+        )
     r = _third_order_expr(p, u, u_t, u_xx, u_tt, u_txx)
     notes = fam.notes + ("single third-order equation in u; v slots unused",)
     return _report(ts, xs, r, np.zeros_like(r), method, notes)
@@ -305,7 +333,7 @@ def invariant_surface_check(
     fam: SolutionFamily, A: float, B: float, grid: Grid
 ) -> float:
     """Sup norm of the invariant-surface defect u_t - (A u + B) on the grid."""
-    ts, xs, T, X = _open_grid(grid)
+    ts, xs, T, X = _open_grid(grid, fam.steady)
     u, _ = fam.eval(T, X)
     u_t, _, _, _ = fam.eval_derivs(T, X)
     defect = u_t - (A * u + B)

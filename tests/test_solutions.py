@@ -573,6 +573,28 @@ CONTRACT_IDS = FAMILY_TAGS + ("NonClassicalExp-real-k",)
 CONTRACT_GRID = Grid(x_min=-3.0, x_max=3.0, nx=17, t_min=0.0, t_max=2.0, nt=7)
 
 
+STEADY_TAGS = tuple(tag for tag, info in family_catalog().items() if info["steady"])
+
+
+@pytest.mark.parametrize("method", EVAL_METHODS)
+@pytest.mark.parametrize("tag", STEADY_TAGS)
+def test_steady_full_mesh_is_the_row_broadcast(tag, method):
+    """verify evaluates a steady family on one time row and widens the
+    result, so the full mesh must be that row broadcast, bit for bit."""
+    fam = make_family(tag, FIG1, **CONTRACT_CONSTANTS.get(tag, {}))
+    assert fam.steady
+    fn = getattr(fam, method)
+    ts, xs = CONTRACT_GRID.ts(), CONTRACT_GRID.xs()
+    on_mesh = fn(*CONTRACT_GRID.meshes())
+    on_row = fn(ts[:1, None], xs[None, :])
+    assert len(on_row) == len(on_mesh)
+    for row, full in zip(on_row, on_mesh):
+        assert row.shape == (1, CONTRACT_GRID.nx)
+        widened = np.broadcast_to(row, full.shape)
+        assert np.array_equal(widened, full)
+        assert widened.tobytes() == full.tobytes()
+
+
 class TestEvalContract:
     """Each family method returns fresh float arrays of the broadcast (t, x)
     shape, and open grids give the same bits as full meshes."""

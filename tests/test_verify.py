@@ -1,10 +1,15 @@
+import io
 import math
+import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+from fhnx import solutions
+from fhnx.cli import main
 from fhnx.core import FhnxError, Grid, Params, SingularParameter
-from fhnx.solutions import make_family, sample_F
+from fhnx.solutions import FAMILY_TAGS, SolutionFamily, family_catalog, make_family, sample_F
 from fhnx.verify import (
     ResidualReport,
     check_ansatz_constraints,
@@ -220,3 +225,100 @@ class TestInvariantSurface:
         # |A_true - A| * max|u| over the grid; u(0, 0) = 2
         assert defect >= 1e-3
         assert defect == pytest.approx(abs(A_of(FIG1) - wrong) * 2.0, rel=1e-10)
+
+
+STEADY_TAGS = tuple(tag for tag, info in family_catalog().items() if info["steady"])
+FAMILY_CONSTANTS = {
+    "JacobiSnSteady": dict(c1=0.3, c2=0.8),
+    "TanhFrontPlus": dict(x0=0.2),
+    "TanhFrontMinus": dict(x0=-0.2),
+}
+
+
+class _EveryRow(SolutionFamily):
+    """A steady family presented as time-dependent, so verify evaluates it on
+    every row of the grid: the reference for the one-row path."""
+
+    def __init__(self, fam: SolutionFamily):
+        self.fam, self.notes = fam, fam.notes
+
+    def eval(self, t, x):
+        return self.fam.eval(t, x)
+
+    def eval_derivs(self, t, x):
+        return self.fam.eval_derivs(t, x)
+
+    def eval_second_time_derivs(self, t, x):
+        return self.fam.eval_second_time_derivs(t, x)
+
+
+class TestSteadyRow:
+    """Steady families are checked on one time row and reported for the grid."""
+
+    @pytest.mark.parametrize("tag", STEADY_TAGS)
+    def test_reports_equal_the_every_row_evaluation(self, tag):
+        fam = make_family(tag, FIG1, **FAMILY_CONSTANTS.get(tag, {}))
+        assert fam.steady
+        reference = _EveryRow(fam)
+        for method in ("analytic", "finite-difference"):
+            for check in (residual_system, residual_third_order):
+                row = check(fam, FIG1, SPACETIME_GRID, method)
+                full = check(reference, FIG1, SPACETIME_GRID, method)
+                assert row.to_dict() == full.to_dict(), (check.__name__, method)
+                assert row.sample_count == SPACETIME_GRID.nx * SPACETIME_GRID.nt
+        for A in (0.0, -0.1):
+            assert invariant_surface_check(fam, A, 0.0, SPACETIME_GRID) == (
+                invariant_surface_check(reference, A, 0.0, SPACETIME_GRID)
+            )
+
+    def test_verify_evaluates_steady_families_on_one_row(self, monkeypatch):
+        rows: dict[str, list[int]] = {}
+
+        def counting(method):
+            def wrapper(self, t, x):
+                shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+                rows.setdefault(self.tag, []).append(shape[0])
+                return method(self, t, x)
+
+            return wrapper
+
+        classes = (
+            solutions.FixedPointState,
+            solutions.TanhFront,
+            solutions.JacobiSnSteady,
+            solutions.NonClassicalExp,
+        )
+        for cls in classes:
+            for name in ("eval", "eval_derivs", "eval_second_time_derivs"):
+                monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+        for tag in FAMILY_TAGS:
+            argv = ["verify", "--param", f"family.tag={tag}", "--param", "grid.nx=21",
+                    "--param", "grid.nt=9"]
+            for key, value in FAMILY_CONSTANTS.get(tag, {}).items():
+                argv += ["--param", f"family.{key}={value}"]
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        assert set(rows) == set(FAMILY_TAGS)
+        for tag, counts in rows.items():
+            # system 2 analytic + 9 shifts, third order 3, invariant surface 2
+            assert len(counts) == 16, tag
+            assert set(counts) == ({1} if tag in STEADY_TAGS else {9}), tag
+
+
+def _peak_bytes(fn, *args) -> int:
+    fn(*args)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_finite_difference_peak_not_above_analytic():
+    # the stencils are accumulated one shift at a time
+    fam = make_family("NonClassicalExp", FIG1)
+    grid = Grid(x_min=-3.0, x_max=3.0, nx=201, t_min=0.0, t_max=5.0, nt=101)
+    analytic = _peak_bytes(residual_system, fam, FIG1, grid, "analytic")
+    fd = _peak_bytes(residual_system, fam, FIG1, grid, "finite-difference")
+    assert fd <= analytic, (fd, analytic)
