@@ -564,7 +564,7 @@ class JacobiSnSteady(SolutionFamily):
         sn, cn, dn = jacobi_sn_cn_dn(self._z(x), m)
         a, b = self.amplitude, self.steepness
         u_x = a * b * cn * dn
-        u_xx = a * b**2 * (2.0 * m**2 * sn**3 - (1.0 + m**2) * sn)
+        u_xx = a * b**2 * (2.0 * m**2 * (sn * sn * sn) - (1.0 + m**2) * sn)
         return _on_grid(t, x, 0.0, u_x, u_xx, 0.0)
 
     def eval_second_time_derivs(self, t, x):
