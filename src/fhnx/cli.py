@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,31 +54,44 @@ from .verify import (
 _DOMAIN_ERRORS = (OutOfDomain, SingularParameter, NonPositiveParameter, ComplexResult)
 
 
+# CSV rows formatted and written at once: a block holds as many leading
+# indices (frames, or rows of a 1-D table) as fit, and never less than one
+CSV_BLOCK_ROWS = 256
+
+
 def _write_csv(path: Path, header: list[str], *columns) -> None:
     """Write one CSV row per element of the columns' broadcast shape, in C order.
 
     Floats are spelled %.17g (round-trip exact), other cells with str; nothing
-    is quoted.  Each leading index (a frame, or a row of a 1-D table) is
-    formatted and written at once; a column of leading length 1 only once.
+    is quoted.  Leading indices (frames, or rows of a 1-D table) are formatted
+    and written in blocks of about CSV_BLOCK_ROWS rows, each column's cells in
+    one pass; a column of leading length 1 is formatted only once.
     """
     shape = np.broadcast_shapes(*map(np.shape, columns)) or (1,)
     columns = [np.reshape(c, (1,) * (len(shape) - np.ndim(c)) + np.shape(c)) for c in columns]
+    row_cells = math.prod(shape[1:])
+    step = max(1, min(shape[0], CSV_BLOCK_ROWS // row_cells))
 
-    def cells(col, i):
+    def cells(col, n):
+        """The strings of col's cells, broadcast over n leading indices."""
         spell = "%.17g".__mod__ if col.dtype.kind == "f" else str
-        strings = list(map(spell, col[i:i + 1].ravel().tolist()))
-        if col.shape[1:] == shape[1:]:
+        strings = list(map(spell, col.ravel().tolist()))
+        if col.shape == (n, *shape[1:]):
             return strings
-        strings = np.array(strings, dtype=object).reshape(col.shape[1:])
-        return np.broadcast_to(strings, shape[1:]).ravel().tolist()
+        strings = np.array(strings, dtype=object).reshape(col.shape)
+        return np.broadcast_to(strings, (n, *shape[1:])).ravel().tolist()
 
-    fixed = [cells(c, 0) if len(c) == 1 else None for c in columns]
+    fixed = {k: cells(c, step) for k, c in enumerate(columns) if len(c) == 1}
     row = ",".join(["{}"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for i in range(shape[0]):
-            frame = [cells(c, i) if f is None else f for c, f in zip(columns, fixed)]
-            fh.write("".join(map(row.format, *frame)))
+        for start in range(0, shape[0], step):
+            n = min(step, shape[0] - start)
+            block = [
+                fixed[k][:n * row_cells] if k in fixed else cells(c[start:start + n], n)
+                for k, c in enumerate(columns)
+            ]
+            fh.write("".join(map(row.format, *block)))
 
 
 def _emit_json(payload: dict) -> None:

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fhnx.cli import _write_csv, main
+from fhnx.cli import CSV_BLOCK_ROWS, _write_csv, main
 from fhnx.config import load_config
 from fhnx.core import ConfigError
 from fhnx.solutions import make_family
@@ -417,6 +417,31 @@ class TestCsvWriter:
                   "worst_t", "worst_x", "sample_count"]
         _write_csv(tmp_path / "new.csv", header, *zip(*rows))
         _write_reference_csv(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+    def test_tables_longer_than_a_block(self, tmp_path):
+        # a 1-D table of 2.5 blocks, and frames of 7 cells, several per block;
+        # both end in a partial block
+        rng = np.random.default_rng(7)
+        n = CSV_BLOCK_ROWS * 5 // 2
+        ks, sigma = np.linspace(0.0, 5.0, n), rng.standard_normal((n, 2))
+        sigma.flat[rng.permutation(sigma.size)[:len(EXTREMES)]] = EXTREMES
+        _write_csv(tmp_path / "new.csv", ["k", "a", "b", "i"], ks, *sigma.T, np.arange(n))
+        _write_reference_csv(
+            tmp_path / "ref.csv", ["k", "a", "b", "i"],
+            ((ks[i], sigma[i, 0], sigma[i, 1], i) for i in range(n)),
+        )
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+        nt, nx = 3 * CSV_BLOCK_ROWS // 7 + 2, 7
+        ts, xs = np.linspace(0.0, 0.5, nt), np.linspace(-3.0, 3.0, nx)
+        us = rng.standard_normal((nt, nx))
+        _write_csv(tmp_path / "new.csv", ["t", "x", "u"], ts[:, None], xs, us)
+        _write_reference_csv(
+            tmp_path / "ref.csv", ["t", "x", "u"],
+            ((ts[i], xs[j], us[i, j]) for i in range(nt) for j in range(nx)),
+        )
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
