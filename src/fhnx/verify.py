@@ -25,8 +25,8 @@ so each transcendental factor is computed once per axis.  A steady family
 (``ts[:1, None]``) and the report widens the result to the grid: the worst
 point is the full mesh's first maximum, which lies in row 0, and l2 sums
 the squares broadcast to a contiguous (nt, nx) array, in the full mesh's
-order.  The stencils are accumulated as each shift is evaluated, so no
-more than one shifted sample is alive at a time.  Evaluation runs with
+order.  The stencils are accumulated as each shift is evaluated, so the
+shifted samples are never all held at once.  Evaluation runs with
 floating-point overflow silenced; a residual that is not finite raises
 OutOfDomain at the first such grid point instead.
 """
