@@ -1,6 +1,6 @@
 """Record benchmark runs of one or more source trees into a BENCH_*.json file.
 
-    python3 tools/bench_record.py --out BENCH_10.json \\
+    python3 tools/bench_record.py --out BENCH_run.json \\
         --tree parent=/path/to/parent-checkout --tree change=. \\
         --workload exact-check --seeds 1001-1010 --trace 0
 
@@ -10,11 +10,14 @@ once per ``--trace`` level, for ``--seconds`` seconds (the run length in
 seed to the next, so each pair of runs shares the host's drift.  Every run
 is appended to the output file (created when missing) with the tree's
 label, commit and source digest, its position in the pair, its start time
-and the benchmark's result and detail lines.  Runs accumulate over several
-invocations; after each run the file's ``summary`` is recomputed: per
-workload, label and end-to-end metric, the median and quartiles of the
-untraced runs, and for every label after the first the pairs (same
-workload and seed) it wins and loses against the first label.
+and the benchmark's result and detail lines; the detail line's per-pass
+operation timings are condensed to each operation's quartiles.  Runs
+accumulate over several invocations; after each run the file's ``machine``
+(from the benchmark's detail line) and ``summary`` are brought up to date.
+The summary holds, per workload, label and end-to-end metric, the median
+and quartiles of the untraced runs and, for every label after the first,
+the pairs (same workload and seed) it wins and loses against the first
+label.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -64,23 +65,6 @@ def _identity(tree: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
-def _machine() -> dict:
-    info = {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "cpu_model": platform.processor() or platform.machine(),
-    }
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                info["cpu_model"] = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    return info
-
-
 def _run_one(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
     """One perfbench run: its result and detail lines, or the error it ended in."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -95,11 +79,24 @@ def _run_one(tree: Path, workload: str, seed: int, trace: int, seconds: float) -
         detail, result = (json.loads(line) for line in lines[-2:])
     except ValueError:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return {"exit": proc.returncode, "result": result, "detail": detail}
+    return {"exit": proc.returncode, "result": result, "detail": _condensed(detail)}
+
+
+def _condensed(detail: dict) -> dict:
+    """The detail line with its per-pass operation timings (most of its
+    size) replaced by each operation's quartiles over the passes."""
+    inner = dict(detail["detail"])
+    timings: dict = {}
+    for op in inner.get("ops", []):
+        for name in ("wall_s", "cpu_s"):
+            timings.setdefault(op["id"], {}).setdefault(name, []).append(op[name])
+    inner["ops"] = {op_id: {name: _quartiles(values) for name, values in by_name.items()}
+                    for op_id, by_name in timings.items()}
+    return {**detail, "detail": inner}
 
 
 def _quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
@@ -126,8 +123,9 @@ def _summary(runs: list[dict], labels: list[str]) -> dict:
         summary.setdefault(workload, {}).setdefault(label, {})[name] = entry
     for run in runs:
         if "result" in run:
-            failed = summary.setdefault(run["workload"], {}).setdefault(run["label"], {})
-            failed["failed_operations"] = failed.get("failed_operations", 0) + run["result"]["failed"]
+            failed = run["result"]["failed"]
+            entry = summary.setdefault(run["workload"], {}).setdefault(run["label"], {})
+            entry["failed_operations"] = entry.get("failed_operations", 0) + failed
     return summary
 
 
@@ -155,8 +153,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     args = parser.parse_args(argv)
 
-    record = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    record["machine"] = _machine()
+    record = {"runs": [], "machine": None}
+    if args.out.exists():
+        record = json.loads(args.out.read_text())
     labels = list(dict.fromkeys([run["label"] for run in record["runs"]]
                                 + [label for label, _ in args.tree]))
     identities = {label: _identity(tree) for label, tree in args.tree}
@@ -165,12 +164,15 @@ def main(argv: list[str] | None = None) -> int:
             trees = args.tree if n % 2 == 0 else args.tree[::-1]
             for position, (label, tree) in enumerate(trees):
                 for trace in args.trace:
-                    started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+                    started = datetime.datetime.now(datetime.timezone.utc)
                     run = {"label": label, **identities[label], "workload": workload,
                            "seed": seed, "trace": trace, "position": position,
-                           "started": started, "seconds": args.seconds}
+                           "started": started.isoformat(timespec="seconds"),
+                           "seconds": args.seconds}
                     run.update(_run_one(tree, workload, seed, trace, args.seconds))
                     record["runs"].append(run)
+                    if "detail" in run:
+                        record["machine"] = run["detail"]["detail"]["machine"]
                     record["summary"] = _summary(record["runs"], labels)
                     args.out.write_text(_dumps(record))
                     wall = run.get("result", {}).get("metrics", {}).get("wall_s", {}).get("value")
