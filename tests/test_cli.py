@@ -419,7 +419,6 @@ class TestCsvWriter:
         _write_reference_csv(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-
     def test_tables_longer_than_a_block(self, tmp_path):
         # a 1-D table of 2.5 blocks, and frames of 7 cells, several per block;
         # both end in a partial block
