@@ -193,9 +193,11 @@ class Grid:
 def g(u):
     """Cubic reaction term of the fast equation, u - u*u*u / 3.
 
-    The cube is spelled as a product, as every array cube in the package
-    is: numpy sends a float power of 3 through per-element ``pow`` at
-    several times the cost, and the two differ by at most an ulp.
+    The cube is spelled as a product, as is ``JacobiSnSteady.eval_derivs``'s
+    sn cube: numpy sends a float power of 3 through per-element ``pow`` at
+    several times the cost, and the two differ by at most an ulp.  The
+    transcribed ansatz constraint formulas in ``verify`` keep their printed
+    powers.
     """
     u = np.asarray(u, dtype=float) if isinstance(u, np.ndarray) else u
     return u - u * u * u / 3.0

@@ -31,6 +31,7 @@ from fhnx.solutions import (
     symmetry_catalog,
 )
 
+from family_cases import FAMILY_CONSTANTS
 from nonclassical_oracle import v_bracket
 
 FIG1 = Params(D=1.03, epsilon=0.3, beta=2.0, c=0.0)
@@ -558,41 +559,13 @@ class TestFamilySurface:
 
 
 EVAL_METHODS = ("eval", "eval_derivs", "eval_second_time_derivs")
-CONTRACT_CONSTANTS = {
-    "JacobiSnSteady": dict(c1=0.3, c2=0.8),
-    "NonClassicalExp": dict(c1=1.0, c2=1.0),
-    "TanhFrontPlus": dict(x0=0.2),
-    "TanhFrontMinus": dict(x0=-0.2),
-}
 # every catalog tag on the benchmark parameters, plus the real-k branch of
 # the exponential family (beta = 0.5)
-CONTRACT_CASES = [(tag, FIG1, CONTRACT_CONSTANTS.get(tag, {})) for tag in FAMILY_TAGS] + [
+CONTRACT_CASES = [(tag, FIG1, FAMILY_CONSTANTS.get(tag, {})) for tag in FAMILY_TAGS] + [
     ("NonClassicalExp", Params(D=1.03, epsilon=0.3, beta=0.5), dict(c1=0.5, c2=2.0)),
 ]
 CONTRACT_IDS = FAMILY_TAGS + ("NonClassicalExp-real-k",)
 CONTRACT_GRID = Grid(x_min=-3.0, x_max=3.0, nx=17, t_min=0.0, t_max=2.0, nt=7)
-
-
-STEADY_TAGS = tuple(tag for tag, info in family_catalog().items() if info["steady"])
-
-
-@pytest.mark.parametrize("method", EVAL_METHODS)
-@pytest.mark.parametrize("tag", STEADY_TAGS)
-def test_steady_full_mesh_is_the_row_broadcast(tag, method):
-    """verify evaluates a steady family on one time row and widens the
-    result, so the full mesh must be that row broadcast, bit for bit."""
-    fam = make_family(tag, FIG1, **CONTRACT_CONSTANTS.get(tag, {}))
-    assert fam.steady
-    fn = getattr(fam, method)
-    ts, xs = CONTRACT_GRID.ts(), CONTRACT_GRID.xs()
-    on_mesh = fn(*CONTRACT_GRID.meshes())
-    on_row = fn(ts[:1, None], xs[None, :])
-    assert len(on_row) == len(on_mesh)
-    for row, full in zip(on_row, on_mesh):
-        assert row.shape == (1, CONTRACT_GRID.nx)
-        widened = np.broadcast_to(row, full.shape)
-        assert np.array_equal(widened, full)
-        assert widened.tobytes() == full.tobytes()
 
 
 class TestEvalContract:
@@ -615,6 +588,14 @@ class TestEvalContract:
         for a, b in zip(on_axes, on_mesh):
             assert a.shape == b.shape == T.shape
             assert a.tobytes() == b.tobytes()
+        if fam.steady:
+            # verify evaluates a steady family on one time row and widens
+            # the result, so the full mesh must be that row broadcast
+            on_row = fn(ts[:1, None], xs[None, :])
+            assert len(on_row) == len(on_mesh)
+            for row, full in zip(on_row, on_mesh):
+                assert row.shape == (1, CONTRACT_GRID.nx)
+                assert np.broadcast_to(row, full.shape).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("method", EVAL_METHODS)
     def test_fresh_writable_unaliased_broadcast_shape(self, fam, method):

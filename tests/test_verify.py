@@ -9,7 +9,7 @@ import pytest
 from fhnx import solutions
 from fhnx.cli import main
 from fhnx.core import FhnxError, Grid, Params, SingularParameter
-from fhnx.solutions import FAMILY_TAGS, SolutionFamily, family_catalog, make_family, sample_F
+from fhnx.solutions import FAMILY_TAGS, SolutionFamily, make_family, sample_F
 from fhnx.verify import (
     ResidualReport,
     check_ansatz_constraints,
@@ -17,6 +17,8 @@ from fhnx.verify import (
     residual_system,
     residual_third_order,
 )
+
+from family_cases import FAMILY_CONSTANTS, STEADY_TAGS
 
 FIG1 = Params(D=1.03, epsilon=0.3, beta=2.0, c=0.0)
 
@@ -225,14 +227,6 @@ class TestInvariantSurface:
         # |A_true - A| * max|u| over the grid; u(0, 0) = 2
         assert defect >= 1e-3
         assert defect == pytest.approx(abs(A_of(FIG1) - wrong) * 2.0, rel=1e-10)
-
-
-STEADY_TAGS = tuple(tag for tag, info in family_catalog().items() if info["steady"])
-FAMILY_CONSTANTS = {
-    "JacobiSnSteady": dict(c1=0.3, c2=0.8),
-    "TanhFrontPlus": dict(x0=0.2),
-    "TanhFrontMinus": dict(x0=-0.2),
-}
 
 
 class _EveryRow(SolutionFamily):

@@ -1,25 +1,23 @@
-"""Record benchmark runs of one or more source trees into a BENCH_*.json file.
+"""Record benchmark runs of a parent and a change tree into a BENCH_*.json file.
 
     python3 tools/bench_record.py --out BENCH_run.json \\
-        --tree parent=/path/to/parent-checkout --tree change=. \\
+        --parent /path/to/parent-checkout --change . \\
         --workload exact-check --seeds 1001-1010 --trace 0
 
-For each workload and seed, every tree runs its own ``perfbench/run.py``
-once per ``--trace`` level, for ``--seconds`` seconds (the run length in
-``BENCHMARK.json`` by default).  The order of the trees alternates from one
-seed to the next, so each pair of runs shares the host's drift.  Every run
-is appended to the output file (created when missing) with the tree's
-label, commit and source digest, its position in the pair, its start time
-and the benchmark's result and detail lines; the detail line's per-pass
-operation timings are condensed to each operation's quartiles.  Runs
-accumulate over several invocations; after each run the file's ``machine``
-(from the benchmark's detail line) and ``summary`` are brought up to date.
-The summary holds, per workload, label and end-to-end metric, the median
-and quartiles of the untraced runs and, for every label after the first,
-the pairs (same workload and seed) it wins and loses against the first
-label.
+For each workload and seed, each tree runs its own ``perfbench/run.py``
+once per ``--trace`` level, for the run length in ``BENCHMARK.json``.  The
+two trees swap order from one seed to the next, so each pair of runs shares
+the host's drift.  Every run is appended to the output file (created when
+missing) with its label (``parent`` or ``change``), the tree's commit and
+source digest, its position in the pair, its start time and the benchmark's
+result and detail lines; the detail line's per-pass operation timings are
+condensed to each operation's quartiles.  Runs accumulate over several
+invocations; after each run the file's ``machine`` (from the benchmark's
+detail line) and ``summary`` are brought up to date.  The summary holds,
+per workload, label and end-to-end metric, the median and quartiles of the
+untraced runs and, for the change, the pairs (same workload and seed) it
+wins and loses against the parent.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -44,14 +42,11 @@ def _seeds(spec: str) -> list[int]:
     return seeds
 
 
-def _tree(spec: str) -> tuple[str, Path]:
-    label, sep, path = spec.partition("=")
-    if not sep or not label:
-        raise argparse.ArgumentTypeError(f"expected LABEL=PATH, got {spec!r}")
+def _tree(path: str) -> Path:
     tree = Path(path).resolve()
     if not (tree / "perfbench" / "run.py").is_file():
         raise argparse.ArgumentTypeError(f"{tree} holds no perfbench/run.py")
-    return label, tree
+    return tree
 
 
 def _identity(tree: Path) -> dict:
@@ -65,10 +60,10 @@ def _identity(tree: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
-def _run_one(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
+def _run_one(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run: its result and detail lines, or the error it ended in."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)]
     try:
         proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT_S)
@@ -100,7 +95,7 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def _summary(runs: list[dict], labels: list[str]) -> dict:
+def _summary(runs: list[dict]) -> dict:
     metrics = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     values: dict = {}
     for run in runs:
@@ -113,8 +108,8 @@ def _summary(runs: list[dict], labels: list[str]) -> dict:
     summary: dict = {}
     for (workload, label, name), by_seed in sorted(values.items()):
         entry = _quartiles(list(by_seed.values()))
-        base = values.get((workload, labels[0], name), {})
-        if label != labels[0] and base:
+        base = values.get((workload, "parent", name), {})
+        if label == "change" and base:
             sign = 1.0 if metrics[name] == "lower" else -1.0
             diffs = [sign * (base[s] - v) for s, v in by_seed.items() if s in base]
             entry["pairs"] = len(diffs)
@@ -143,37 +138,33 @@ def _dumps(record: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to create or extend")
-    parser.add_argument("--tree", type=_tree, action="append", required=True,
-                        metavar="LABEL=PATH", help="a source tree to run (repeatable; "
-                        "the first is the base of the pair counts)")
+    parser.add_argument("--parent", type=_tree, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=_tree, required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True,
                         choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seeds", type=_seeds, required=True, help="e.g. 1001-1010 or 7,931")
     parser.add_argument("--trace", type=int, nargs="+", choices=(0, 1), default=[0])
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     args = parser.parse_args(argv)
 
     record = {"runs": [], "machine": None}
     if args.out.exists():
         record = json.loads(args.out.read_text())
-    labels = list(dict.fromkeys([run["label"] for run in record["runs"]]
-                                + [label for label, _ in args.tree]))
-    identities = {label: _identity(tree) for label, tree in args.tree}
+    pair = [("parent", args.parent), ("change", args.change)]
+    identities = {label: _identity(tree) for label, tree in pair}
     for workload in args.workload:
         for n, seed in enumerate(args.seeds):
-            trees = args.tree if n % 2 == 0 else args.tree[::-1]
-            for position, (label, tree) in enumerate(trees):
+            for position, (label, tree) in enumerate(pair if n % 2 == 0 else pair[::-1]):
                 for trace in args.trace:
                     started = datetime.datetime.now(datetime.timezone.utc)
                     run = {"label": label, **identities[label], "workload": workload,
                            "seed": seed, "trace": trace, "position": position,
                            "started": started.isoformat(timespec="seconds"),
-                           "seconds": args.seconds}
-                    run.update(_run_one(tree, workload, seed, trace, args.seconds))
+                           "seconds": BENCHMARK["run_seconds"]}
+                    run.update(_run_one(tree, workload, seed, trace))
                     record["runs"].append(run)
                     if "detail" in run:
                         record["machine"] = run["detail"]["detail"]["machine"]
-                    record["summary"] = _summary(record["runs"], labels)
+                    record["summary"] = _summary(record["runs"])
                     args.out.write_text(_dumps(record))
                     wall = run.get("result", {}).get("metrics", {}).get("wall_s", {}).get("value")
                     print(f"{workload} seed {seed} trace {trace} {label}: "
