@@ -56,6 +56,9 @@ RUNS = {
     "simulate": [
         "simulate", *SMALL, "--param", "grid.t_max=0.02",
     ],
+    "simulate-periodic": [
+        "simulate", "--param", "sim.bc=periodic", *SMALL, "--param", "grid.t_max=0.02",
+    ],
     "simulate-refine": [
         "simulate", "--refinements", "2", *SMALL, "--param", "grid.t_max=0.02",
     ],
