@@ -34,6 +34,7 @@ from .core import (
 from .simulate import convergence_study, run, write_frames
 from .solutions import (
     FIXED_POINT_TAGS,
+    _unforced_fixed_points,
     _wavenumber,
     closed_form_root_match,
     family_catalog,
@@ -176,7 +177,7 @@ def _cmd_verify(args) -> int:
     root_match = None
     if fam.tag in FIXED_POINT_TAGS:
         idx = closed_form_root_match(p, fam.tag)
-        roots = fixed_points(p)
+        roots = _unforced_fixed_points(p)
         root_match = {
             "root_index": idx,
             "roots": [{"u": fp.u, "v": fp.v, "multiplicity": fp.multiplicity} for fp in roots],
@@ -253,9 +254,9 @@ def _cmd_stability(args) -> int:
         points = [(fp.u, fp.v) for fp in fixed_points(p)]
     else:
         u_star = float(s["u_star"])
-        v_star = u_star / p.beta
+        v_star = (u_star + p.c) / p.beta
         if not np.isfinite(v_star):
-            raise OutOfDomain(f"v* = u*/beta is not finite at u* = {u_star!r}")
+            raise OutOfDomain(f"v* = (u* + c)/beta is not finite at u* = {u_star!r}")
         points = [(u_star, v_star)]
 
     result_points = []

@@ -13,7 +13,6 @@ Grammar (INI style, parsed by configparser):
     c1 = 1.0
     c2 = 1.0
     x0 = 0.0
-    sign = 1
 
     [grid]
     x_min = -3.0 ... nt = 101
@@ -130,16 +129,13 @@ class RunConfig:
         return Params(D=s["d"], epsilon=s["epsilon"], beta=s["beta"], c=s["c"])
 
     def family(self, p: Params | None = None) -> SolutionFamily:
+        """The configured family with the constants its tag takes;
+        ``make_family`` rejects an unknown tag."""
         s = self.section("family")
-        tag = s["tag"]
-        catalog = family_catalog()
-        if tag not in catalog:
-            raise ConfigError(
-                f"unknown family tag {tag!r}; known: {', '.join(catalog)}"
-            )
-        p = p if p is not None else self.params()
-        constants = {key: s[key] for key in catalog[tag]["constant_names"]}
-        return make_family(tag, p, **constants)
+        names = family_catalog().get(s["tag"], {}).get("constant_names", ())
+        return make_family(
+            s["tag"], p if p is not None else self.params(), **{key: s[key] for key in names}
+        )
 
     def grid(self) -> Grid:
         s = self.section("grid")

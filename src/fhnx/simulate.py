@@ -18,11 +18,15 @@ Boundary handling:
 * ``dirichlet-from-family``: boundary nodes of u and v are prescribed from
   the attached exact family at the stage/step time t_n + (0, dt/2, dt).
   These boundary traces are evaluated once per run, one vectorized family
-  call per stage offset.  The exact solutions are unbounded-domain
-  objects, so this removes boundary-induced error and the interior
-  comparison isolates scheme error.  The semi-implicit interior system
-  (prescribed ends moved to the right-hand side) is solved by a DST-I,
-  taken as the FFT of its odd extension of length 2 (nx - 1).
+  call per stage offset.  The stepper writes them in one place: into each
+  rk4 stage state before its right-hand side, and into the new state of
+  every step.  The rates computed at the ends are overwritten unused, so
+  the right-hand side uses the wrapped end stencil under both conditions.
+  The exact solutions are unbounded-domain objects, so this removes
+  boundary-induced error and the interior comparison isolates scheme
+  error.  The semi-implicit interior system (prescribed ends moved to the
+  right-hand side) is solved by a DST-I, taken as the FFT of its odd
+  extension of length 2 (nx - 1).
 * ``periodic``: wrapped Laplacian, no prescribed nodes; the semi-implicit
   matrix is circulant and is solved by an rfft of length nx.
 
@@ -110,10 +114,8 @@ class _Stepper:
     """Bound integrator: parameters, config, boundary traces and the
     eigenvalues of the semi-implicit matrix; no step calls the family."""
 
-    def __init__(self, p: Params, cfg: SimConfig, family: SolutionFamily | None):
+    def __init__(self, p: Params, cfg: SimConfig, family: SolutionFamily):
         cfg.check_cfl(p)
-        if cfg.bc == "dirichlet-from-family" and family is None:
-            raise ConfigError("dirichlet-from-family boundaries need a family")
         self.p = p
         self.cfg = cfg
         grid = cfg.grid
@@ -156,32 +158,24 @@ class _Stepper:
         u[1:-1] = np.fft.irfft(np.fft.rfft(z) / self._eig, z.size)[1:m + 1]
         return u
 
-    def _laplacian(self, u: np.ndarray) -> np.ndarray:
-        lap = np.empty_like(u)
-        lap[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / self.dx**2
-        if self.cfg.bc == "periodic":
-            lap[0] = (u[-1] - 2.0 * u[0] + u[1]) / self.dx**2
-            lap[-1] = (u[-2] - 2.0 * u[-1] + u[0]) / self.dx**2
-        else:
-            lap[0] = lap[-1] = 0.0
-        return lap
-
     def _rhs(self, stage: int, n: int, u: np.ndarray, v: np.ndarray):
-        u = u.copy()
-        v = v.copy()
+        """(u_t, v_t) after writing the stage's prescribed ends into u and v."""
         self._boundary(u, v, stage, n)
         p = self.p
-        du = p.D * self._laplacian(u) - v + g(u)
+        lap = np.empty_like(u)
+        lap[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / self.dx**2
+        lap[0] = (u[-1] - 2.0 * u[0] + u[1]) / self.dx**2
+        lap[-1] = (u[-2] - 2.0 * u[-1] + u[0]) / self.dx**2
+        du = p.D * lap - v + g(u)
         dv = p.epsilon * (-p.beta * v + p.c + u)
-        if self.cfg.bc == "dirichlet-from-family":
-            du[0] = du[-1] = 0.0
-            dv[0] = dv[-1] = 0.0
         return du, dv
 
     def advance(self, u: np.ndarray, v: np.ndarray, n: int):
         """Step n, from ts[n] to ts[n] + dt; returns new (u, v)."""
         dt = self.dt
         if self.cfg.scheme == "rk4":
+            # stage 0 writes its ends into copies: the caller's state stays
+            u, v = u.copy(), v.copy()
             k1u, k1v = self._rhs(0, n, u, v)
             k2u, k2v = self._rhs(1, n, u + dt / 2 * k1u, v + dt / 2 * k1v)
             k3u, k3v = self._rhs(1, n, u + dt / 2 * k2u, v + dt / 2 * k2v)

@@ -5,9 +5,9 @@ u_t, u_x, u_xx, v_t (plus u_tt, u_txx for the third-order check) at any
 point of its validity region:
 
 * ``FixedPointZero`` / ``FixedPointPlus`` / ``FixedPointMinus``: the
-  spatially constant states u* with u* a root of u (1 - 1/beta - u**2/3)
-  and v* = u*/beta.  Plus/Minus carry the amplitude sqrt(3) sqrt(beta-1) /
-  sqrt(beta), real only for beta >= 1.
+  spatially constant states of the unforced model (c = 0), u* a root of
+  u (1 - 1/beta - u**2/3) and v* = u*/beta.  Plus/Minus carry the
+  amplitude sqrt(3) sqrt(beta-1) / sqrt(beta), real only for beta >= 1.
 * ``FixedPointCardanoA`` / ``FixedPointCardanoB``: two Cardano-style
   radical rewritings of the same cubic roots with complex intermediates.
   They are evaluated literally in complex arithmetic and must land, after
@@ -39,7 +39,7 @@ as formulas under test and matched against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +47,7 @@ import numpy as np
 from .core import (
     REAL_TOL,
     BranchMismatch,
+    ConfigError,
     FhnxError,
     OutOfDomain,
     Params,
@@ -88,13 +89,6 @@ FIXED_POINT_TAGS = (
     "FixedPointMinus",
     "FixedPointCardanoA",
     "FixedPointCardanoB",
-)
-
-FAMILY_TAGS = FIXED_POINT_TAGS + (
-    "TanhFrontPlus",
-    "TanhFrontMinus",
-    "JacobiSnSteady",
-    "NonClassicalExp",
 )
 
 # Modulus dust tolerance: the tanh limit of the sn steady state lands a few
@@ -173,15 +167,21 @@ def _cbrt_real(x: float) -> float:
 
 
 def fixed_points(p: Params) -> list[FixedPoint]:
-    """All real isolated fixed points (u*, v* = u*/beta), sorted by u*.
+    """All real isolated fixed points (u*, v* = (u* + c)/beta), sorted by u*.
 
-    Ground truth: roots of the depressed cubic u**3 - 3 u (beta-1)/beta = 0,
-    not the radical closed forms.  beta = 1 yields the single root 0 with
-    multiplicity 3.
+    Ground truth: roots of the depressed cubic
+    u**3 - 3 u (beta-1)/beta + 3 c/beta = 0, not the radical closed forms.
+    c = 0, beta = 1 yields the single root 0 with multiplicity 3.
     """
     coeff = -3.0 * (p.beta - 1.0) / p.beta
-    roots, mults = solve_depressed_cubic(coeff, 0.0)
-    return [FixedPoint(u, u / p.beta, m) for u, m in zip(roots, mults)]
+    roots, mults = solve_depressed_cubic(coeff, 3.0 * p.c / p.beta)
+    return [FixedPoint(u, (u + p.c) / p.beta, m) for u, m in zip(roots, mults)]
+
+
+def _unforced_fixed_points(p: Params) -> list[FixedPoint]:
+    """The fixed points at c = 0: the catalog's fixed-point families are
+    states of the unforced model, whatever c the run uses."""
+    return fixed_points(replace(p, c=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,7 @@ def eval_fixed_point_closed_form(p: Params, which: str) -> tuple[complex, comple
         raise FhnxError(f"unknown fixed-point tag {which!r}")
 
     if is_effectively_real(u):
-        roots = fixed_points(p)
-        if _match_root(u.real, roots) is None:
+        if _match_root(u.real, _unforced_fixed_points(p)) is None:
             raise BranchMismatch(
                 f"{which}: effectively-real value {u.real!r} matches no cubic root"
             )
@@ -256,11 +255,12 @@ def _match_root(value: float, roots: list[FixedPoint], tol: float = 1e-9):
 
 
 def closed_form_root_match(p: Params, which: str) -> int | None:
-    """Index of the oracle root a closed form lands on (None if complex)."""
+    """Index of the unforced oracle root a closed form lands on (None if
+    complex)."""
     u, _ = eval_fixed_point_closed_form(p, which)
     if not is_effectively_real(u):
         return None
-    return _match_root(u.real, fixed_points(p))
+    return _match_root(u.real, _unforced_fixed_points(p))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,7 @@ def _fixed_point_family(p: Params, tag: str) -> FixedPointState:
     idx = closed_form_root_match(p, tag)
     if idx is None:
         raise OutOfDomain(f"{tag}: closed form is not effectively real")
-    fp = fixed_points(p)[idx]
+    fp = _unforced_fixed_points(p)[idx]
     return FixedPointState(params=p, tag=tag, u_star=fp.u, v_star=fp.v)
 
 
@@ -507,6 +507,10 @@ class JacobiSnSteady(SolutionFamily):
     notes: tuple[str, ...] = (
         "v taken as u/beta from the steady-state assumption",
     )
+    modulus: float = field(init=False)
+    amplitude: float = field(init=False)
+    steepness: float = field(init=False)
+    z0: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c1", float(self.c1))
@@ -532,27 +536,15 @@ class JacobiSnSteady(SolutionFamily):
         if q < 0.0:
             raise OutOfDomain("sn amplitude radicand negative (needs beta >= 1)")
         s_amp = math.sqrt(6.0) * math.sqrt(q)
-        object.__setattr__(self, "_modulus", m)
-        object.__setattr__(self, "_amp", self.c2 * s_amp)
-        object.__setattr__(self, "_z0", self.c1 * s_amp)
+        object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "amplitude", self.c2 * s_amp)
+        object.__setattr__(self, "z0", self.c1 * s_amp)
         object.__setattr__(
-            self, "_b", s_amp * math.sqrt(6.0 * p.D * b * five) / (6.0 * p.D * b)
+            self, "steepness", s_amp * math.sqrt(6.0 * p.D * b * five) / (6.0 * p.D * b)
         )
 
-    @property
-    def modulus(self) -> float:
-        return self._modulus  # type: ignore[attr-defined]
-
-    @property
-    def amplitude(self) -> float:
-        return self._amp  # type: ignore[attr-defined]
-
-    @property
-    def steepness(self) -> float:
-        return self._b  # type: ignore[attr-defined]
-
     def _z(self, x):
-        return self._z0 + self._b * np.asarray(x, dtype=float)  # type: ignore[attr-defined]
+        return self.z0 + self.steepness * np.asarray(x, dtype=float)
 
     def eval(self, t, x):
         sn, _, _ = jacobi_sn_cn_dn(self._z(x), self.modulus)
@@ -589,20 +581,14 @@ class NonClassicalExp(SolutionFamily):
     c2: float = 1.0
     tag: str = "NonClassicalExp"
     steady: bool = False
+    k: complex = field(init=False)
+    k_squared: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c1", float(self.c1))
         object.__setattr__(self, "c2", float(self.c2))
-        object.__setattr__(self, "_k", nonclassical_k(self.params))
-        object.__setattr__(self, "_k2", nonclassical_k_squared(self.params))
-
-    @property
-    def k(self) -> complex:
-        return self._k  # type: ignore[attr-defined]
-
-    @property
-    def k_squared(self) -> float:
-        return self._k2  # type: ignore[attr-defined]
+        object.__setattr__(self, "k", nonclassical_k(self.params))
+        object.__setattr__(self, "k_squared", nonclassical_k_squared(self.params))
 
     @property
     def decay_rate(self) -> float:
@@ -661,91 +647,89 @@ _CATALOG = {
         "formula": "u = 0, v = 0",
         "constant_names": [],
         "domain": "any valid parameters",
-        "steady": True,
     },
     "FixedPointPlus": {
         "formula": "u = sqrt(3) sqrt(beta-1) / sqrt(beta), v = u/beta",
         "constant_names": [],
         "domain": "beta >= 1 (amplitude real)",
-        "steady": True,
     },
     "FixedPointMinus": {
         "formula": "u = -sqrt(3) sqrt(beta-1) / sqrt(beta), v = u/beta",
         "constant_names": [],
         "domain": "beta >= 1 (amplitude real)",
-        "steady": True,
     },
     "FixedPointCardanoA": {
         "formula": "Cardano radical form of a cubic root, "
         "u = W/(2 beta) + 2(beta-1)/W with W**3 = 4 beta**2 sqrt(-4(beta-1)**3/beta)",
         "constant_names": [],
         "domain": "beta != 1; complex intermediates cancel to a real root",
-        "steady": True,
     },
     "FixedPointCardanoB": {
         "formula": "Cardano radical form of a cubic root, "
         "u = (V**2 + beta**2 - beta)/(V beta) with V**3 = beta**2 sqrt(-(beta-1)**3/beta)",
         "constant_names": [],
         "domain": "beta != 1; complex intermediates cancel to a real root",
-        "steady": True,
     },
     "TanhFrontPlus": {
         "formula": "u = -a tanh(b (x + x0)), v = u/beta; "
         "a = sqrt(3(beta-1)/beta), b = sqrt((beta-1)/(2 D beta))",
         "constant_names": ["x0"],
         "domain": "beta > 1",
-        "steady": True,
     },
     "TanhFrontMinus": {
         "formula": "u = +a tanh(b (x + x0)), v = u/beta; "
         "a = sqrt(3(beta-1)/beta), b = sqrt((beta-1)/(2 D beta))",
         "constant_names": ["x0"],
         "domain": "beta > 1",
-        "steady": True,
     },
     "JacobiSnSteady": {
         "formula": "u = c2 sqrt(6 (beta-1)/(beta c2**2 + 5 beta - 6)) "
         "sn(z0 + b x, m), v = u/beta (assumed)",
         "constant_names": ["c1", "c2"],
         "domain": "beta > 6/5 and modulus m = c2 sqrt(beta/(5 beta - 6)) in [0, 1]",
-        "steady": True,
     },
     "NonClassicalExp": {
         "formula": "u = exp(-eps beta t/3) (c1 e^{-kx} + c2 e^{kx}), "
         "k**2 = (9 - 6 beta - 2 eps beta**2)/(6 beta D); v = 3u/(2 beta) - u**3/3",
         "constant_names": ["c1", "c2"],
         "domain": "any valid parameters; imaginary k needs c1 = c2 for a real u",
-        "steady": False,
     },
 }
 
 
+FAMILY_TAGS = tuple(_CATALOG)
+
+# tag -> (class, the keyword arguments the tag fixes); the class says whether
+# the family is steady and holds the defaults of its constants
+_FAMILIES = {
+    **{tag: (FixedPointState, {}) for tag in FIXED_POINT_TAGS},
+    "TanhFrontPlus": (TanhFront, {"sign": +1}),
+    "TanhFrontMinus": (TanhFront, {"sign": -1}),
+    "JacobiSnSteady": (JacobiSnSteady, {}),
+    "NonClassicalExp": (NonClassicalExp, {}),
+}
+
+
 def family_catalog() -> dict:
-    """Static catalog: tag, closed-form description, constants, domain."""
-    return {tag: dict(info) for tag, info in _CATALOG.items()}
+    """Static catalog: tag, closed-form description, constants, domain, steady."""
+    return {
+        tag: {**info, "steady": _FAMILIES[tag][0].steady} for tag, info in _CATALOG.items()
+    }
 
 
 def make_family(tag: str, p: Params, **constants) -> SolutionFamily:
-    """Construct a catalog family from its tag and constant map."""
-    if tag not in FAMILY_TAGS:
-        raise FhnxError(f"unknown family tag {tag!r}; known: {', '.join(FAMILY_TAGS)}")
+    """Construct a catalog family from its tag and constant map; an unknown
+    tag or constant raises ConfigError."""
+    if tag not in _FAMILIES:
+        raise ConfigError(f"unknown family tag {tag!r}; known: {', '.join(FAMILY_TAGS)}")
     allowed = set(_CATALOG[tag]["constant_names"])
     unknown = set(constants) - allowed
     if unknown:
-        raise FhnxError(
+        raise ConfigError(
             f"family {tag} does not accept constants {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}"
         )
-    if tag in FIXED_POINT_TAGS:
+    cls, fixed = _FAMILIES[tag]
+    if cls is FixedPointState:
         return _fixed_point_family(p, tag)
-    if tag == "TanhFrontPlus":
-        return TanhFront(params=p, sign=+1, x0=constants.get("x0", 0.0))
-    if tag == "TanhFrontMinus":
-        return TanhFront(params=p, sign=-1, x0=constants.get("x0", 0.0))
-    if tag == "JacobiSnSteady":
-        return JacobiSnSteady(
-            params=p, c1=constants.get("c1", 0.0), c2=constants.get("c2", 0.0)
-        )
-    return NonClassicalExp(
-        params=p, c1=constants.get("c1", 1.0), c2=constants.get("c2", 1.0)
-    )
+    return cls(params=p, **fixed, **constants)

@@ -60,7 +60,11 @@ def jacobian_at(p: Params, u_star: float, k=0.0) -> np.ndarray:
     # a float64 u* overflows to inf where a Python float would raise
     m[..., 0, 0] = g_prime(np.float64(u_star)) - p.D * k * k
     if not np.all(np.isfinite(m)):
-        raise OutOfDomain(f"stability matrix is not finite at u* = {u_star!r}")
+        k_top = float(np.max(k))
+        cause = "" if math.isfinite(p.D * k_top * k_top) else (
+            f": D k**2 overflows float64 at k = {k_top!r}"
+        )
+        raise OutOfDomain(f"stability matrix is not finite at u* = {u_star!r}{cause}")
     return m
 
 

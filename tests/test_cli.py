@@ -224,6 +224,22 @@ class TestStability:
             assert rows[0] == ["k", "re_sigma_1", "re_sigma_2", "im_sigma_1", "im_sigma_2"]
             assert len(rows) == 1 + 101
 
+    @pytest.mark.parametrize("c,count", [(0.5, 1), (0.1, 3), (-0.1, 3)])
+    def test_forced_fixed_points_zero_both_equations(self, capsys, c, count):
+        code, payload = run_json(capsys, ["stability", "--json", "--param", f"params.c={c}"])
+        assert code == 0
+        points = payload["result"]["points"]
+        assert len(points) == count
+        eps = np.finfo(float).eps
+        for pt in points:
+            u, v = pt["u_star"], pt["v_star"]
+            # u_t = -v + u - u**3/3 and v_t / epsilon = -beta v + c + u, beta = 2
+            assert abs(-v + u - u**3 / 3.0) <= 8 * eps * (abs(v) + abs(u) + abs(u) ** 3)
+            assert abs(-2.0 * v + c + u) <= 8 * eps * (2.0 * abs(v) + abs(c) + abs(u))
+        _, payload = run_json(capsys, ["stability", "--json", "--param", f"params.c={c}",
+                                       "--param", "stability.u_star=0.5"])
+        assert payload["result"]["points"][0]["v_star"] == (0.5 + c) / 2.0
+
     def test_saddle_reported_at_origin(self, capsys):
         code, payload = run_json(
             capsys, ["stability", "--json", "--param", "stability.u_star=0"]
@@ -511,9 +527,10 @@ TYPED_FAILURES = [
     (["stability", "--json", "--param", "params.d=1e200"], 3,
      "domain error: growth rate sigma(k) is not finite at u* ="),
     (["stability", "--json", "--param", "stability.k_max=1e200"], 3,
-     "domain error: stability matrix is not finite at u* ="),
+     "domain error: stability matrix is not finite at u* = -1.224744871391589: "
+     "D k**2 overflows float64 at k = 1e+200"),
     (["stability", "--json", "--param", "stability.u_star=2", "--param", "params.beta=1e-320"], 3,
-     "domain error: v* = u*/beta is not finite at u* = 2.0"),
+     "domain error: v* = (u* + c)/beta is not finite at u* = 2.0"),
     (["simulate", "--param", "params.beta=1e-300"], 3, "domain error: wavenumber is not finite"),
     (["verify", "--param", "params.epsilon=1e-300"], 3, "domain error: wavenumber is not finite"),
     (["figure", "--figure", "1", "--param", "params.epsilon=1e-300"], 3,

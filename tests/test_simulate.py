@@ -16,6 +16,7 @@ from fhnx.core import (
 from fhnx.simulate import (
     ERROR_BLOCK,
     SimConfig,
+    _states,
     convergence_study,
     read_frames,
     run,
@@ -278,6 +279,27 @@ class TestBoundaryTraces:
         assert np.all(out.vs[1:, ends] == ve)
         # three stage traces, the initial state and one error block
         assert len(calls) <= 5
+
+    def test_yielded_state_unchanged_by_the_next_step(self):
+        fam = make_family("NonClassicalExp", FIG1)
+        grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
+        stage_0_times = grid.ts()[:-1, None]
+
+        class StageZeroShifted:
+            """Stage 0 prescribes ends that no state holds."""
+
+            def eval(self, t, x):
+                u, v = fam.eval(t, x)
+                if np.shape(t) == stage_0_times.shape and np.array_equal(t, stage_0_times):
+                    u += 1.0
+                    v += 1.0
+                return u, v
+
+        states = _states(StageZeroShifted(), FIG1, SimConfig(grid=grid))
+        held = [(u, v, u.copy(), v.copy()) for u, v in states]
+        assert len(held) == grid.nt
+        for u, v, u_then, v_then in held:
+            assert np.array_equal(u, u_then) and np.array_equal(v, v_then)
 
 
 class TestErrorPass:

@@ -526,11 +526,11 @@ class TestFamilySurface:
             assert getattr(fam, name) == value
 
     def test_unknown_tag_and_constants_rejected(self):
-        from fhnx.core import FhnxError
+        from fhnx.core import ConfigError
 
-        with pytest.raises(FhnxError):
+        with pytest.raises(ConfigError):
             make_family("NoSuchFamily", FIG1)
-        with pytest.raises(FhnxError):
+        with pytest.raises(ConfigError):
             make_family("NonClassicalExp", FIG1, x0=1.0)
 
     def test_derivatives_match_finite_differences_all_families(self):

@@ -17,6 +17,7 @@ from fhnx.stability import (
 
 FIG1 = Params(D=1.03, epsilon=0.3, beta=2.0, c=0.0)
 SQRT15 = math.sqrt(1.5)
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class TestJacobian:
@@ -222,22 +223,48 @@ def _sweep_cases(draw):
     return p, u_star, draw(_log_uniform(1e-2, 1e2)), draw(st.integers(2, 400))
 
 
+def _lapack_floor(m):
+    """|max Re sigma| below which LAPACK's sign says nothing: eps-level, but
+    sqrt(eps) |m| near a double eigenvalue, where the eigensolver's error
+    grows to that scale (separation sqrt|tr^2 - 4 det| <= eps**(1/4) |m|)."""
+    scale = np.abs(m).sum(axis=(-2, -1))
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    near_double = np.abs((a + d) ** 2 - 4.0 * (a * d - b * c)) <= SQRT_EPS * scale**2
+    return np.where(near_double, SQRT_EPS, 1e-9) * scale
+
+
+def _edges_match_lapack(p, u_star, k_max, n) -> bool:
+    """Assert the sweep's band edges are the sign changes of LAPACK's max Re
+    sigma; False (nothing checked) when a sample lies within the floor."""
+    sweep = dispersion_sweep(p, u_star, k_max, n)
+    m = jacobian_at(p, u_star, sweep.ks)
+    f = np.linalg.eigvals(m).real.max(axis=-1)
+    # a sign is only meaningful above the eigensolver's rounding level;
+    # this drops samples that sit on the edge itself (e.g. beta = eps = 1)
+    if not np.all(np.abs(f) > _lapack_floor(m)):
+        return False
+    changes = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+    assert len(sweep.band_edges) == len(changes)
+    for k_c, i in zip(sweep.band_edges, changes):
+        assert sweep.ks[i] < k_c < sweep.ks[i + 1]
+        assert f[i] > 0.0 > f[i + 1]
+    return True
+
+
 class TestBandEdgeProperty:
     @settings(max_examples=300, deadline=None)
     @given(_sweep_cases())
     def test_edges_are_the_sign_changes_of_lapack_eigenvalues(self, case):
-        p, u_star, k_max, n = case
-        sweep = dispersion_sweep(p, u_star, k_max, n)
-        m = jacobian_at(p, u_star, sweep.ks)
-        f = np.linalg.eigvals(m).real.max(axis=-1)
-        # a sign is only meaningful above the eigensolver's rounding level;
-        # this drops samples that sit on the edge itself (e.g. beta = eps = 1)
-        assume(np.all(np.abs(f) > 1e-9 * np.abs(m).sum(axis=(-2, -1))))
-        changes = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
-        assert len(sweep.band_edges) == len(changes)
-        for k_c, i in zip(sweep.band_edges, changes):
-            assert sweep.ks[i] < k_c < sweep.ks[i + 1]
-            assert f[i] > 0.0 > f[i + 1]
+        assume(_edges_match_lapack(*case))
+
+    def test_double_eigenvalue_on_the_edge_is_below_the_floor(self):
+        # a shrunk case of the property: at k = 0 the eigenvalues are 0 and
+        # 1 - eps = -1.1e-8, nearly double; the band edge is exactly k = 0,
+        # and LAPACK has returned max Re sigma = +5.8e-9 there
+        p = Params(D=1.0, epsilon=1.0000000109559164, beta=1.0)
+        assert dispersion_sweep(p, 0.0, 1.0, 2).band_edges == (0.0,)
+        assert _lapack_floor(jacobian_at(p, 0.0, 0.0)) > 5.8e-9
+        assert not _edges_match_lapack(p, 0.0, 1.0, 2)
 
 
 class TestReport:

@@ -8,15 +8,15 @@ For each workload and seed, each tree runs its own ``perfbench/run.py``
 once per ``--trace`` level, for the run length in ``BENCHMARK.json``.  The
 two trees swap order from one seed to the next, so each pair of runs shares
 the host's drift.  Every run is appended to the output file (created when
-missing) with its label (``parent`` or ``change``), the tree's commit and
-source digest, its position in the pair, its start time and the benchmark's
-result and detail lines; the detail line's per-pass operation timings are
-condensed to each operation's quartiles.  Runs accumulate over several
-invocations; after each run the file's ``machine`` (from the benchmark's
-detail line) and ``summary`` are brought up to date.  The summary holds,
-per workload, label and end-to-end metric, the median and quartiles of the
-untraced runs and, for the change, the pairs (same workload and seed) it
-wins and loses against the parent.
+missing) with its label (``parent`` or ``change``), the tree's commit,
+source digest and source line count, its position in the pair, its start
+time and the benchmark's result and detail lines; the detail line's
+per-pass operation timings are condensed to each operation's quartiles.
+Runs accumulate over several invocations; after each run the file's
+``machine`` (from the benchmark's detail line) and ``summary`` are brought
+up to date.  The summary holds, per workload, label and end-to-end metric,
+the median and quartiles of the untraced runs and, for the change, the
+pairs (same workload and seed) it wins and loses against the parent.
 """
 from __future__ import annotations
 
@@ -50,14 +50,18 @@ def _tree(path: str) -> Path:
 
 
 def _identity(tree: Path) -> dict:
-    """The tree's git commit (None outside a git checkout) and a digest of src/."""
+    """The tree's git commit (None outside a git checkout), a digest of src/
+    and its line count (every ``*.py`` file under src/)."""
     proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     digest = hashlib.sha256()
+    lines = 0
     for path in sorted((tree / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
+        source = path.read_bytes()
+        digest.update(str(path.relative_to(tree)).encode() + b"\0" + source)
+        lines += source.count(b"\n")
     return {"commit": proc.stdout.strip() if proc.returncode == 0 else None,
-            "src_sha256": digest.hexdigest()}
+            "src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
 def _run_one(tree: Path, workload: str, seed: int, trace: int) -> dict:
