@@ -1,6 +1,8 @@
 """Golden outputs: SHA-256s of small CLI runs against stored references.
 
-Each run in ``RUNS`` writes its files into a fresh directory; every file
+Each run in ``RUNS`` writes its files into a fresh directory, once with
+``--json`` and once in text mode; the two runs must write the same files,
+and every file, plus each run's stdout (``stdout.json``, ``stdout.txt``),
 must hash to the digest recorded in ``golden/SHA256SUMS``.  On a mismatch
 the failure message gives the max |delta| per numeric column against the
 stored reference copy of the file, so last-bit noise from another libm or
@@ -20,10 +22,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -66,14 +69,40 @@ RUNS = {
         "simulate", "--scheme", "semi-implicit", "--param", "sim.bc=periodic",
         *SMALL, "--param", "grid.t_max=0.02",
     ],
+    "list": ["list"],
+    "list-tanhfront": ["list", "--family", "TanhFrontPlus"],
 }
+
+# each run's stdout, stored beside its files: flags -> file name
+STDOUT = {"--json": "stdout.json", "": "stdout.txt"}
+
+
+@contextmanager
+def _cwd(path: Path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
 
 
 def _produce(name: str, out: Path) -> None:
+    """Run ``name`` with --json, then in text mode, into ``out``.  ``--out``
+    is given relative to ``out``'s parent, so paths echoed on stdout do not
+    depend on where the directory lives."""
     out.mkdir(parents=True)
-    with redirect_stdout(io.StringIO()):
-        code = main([*RUNS[name], "--out", str(out)])
-    assert code == 0, f"{name} exited {code}"
+    files = {}
+    for flags, stdout_name in STDOUT.items():
+        buf = io.StringIO()
+        with _cwd(out.parent), redirect_stdout(buf):
+            code = main([*RUNS[name], *flags.split(), "--out", out.name])
+        assert code == 0, f"{name} {flags} exited {code}"
+        files[flags] = {
+            p.name: _sha256(p) for p in out.iterdir() if p.name not in STDOUT.values()
+        }
+        (out / stdout_name).write_bytes(buf.getvalue().encode())
+    assert files["--json"] == files[""], f"{name}: --json and text runs wrote different files"
 
 
 def _sha256(path: Path) -> str:
