@@ -34,6 +34,7 @@ from .core import (
 from .simulate import convergence_study, run, write_frames
 from .solutions import (
     FIXED_POINT_TAGS,
+    _catalog_entry,
     _unforced_fixed_points,
     _wavenumber,
     closed_form_root_match,
@@ -95,11 +96,9 @@ def _write_csv(path: Path, header: list[str], *columns) -> None:
             fh.write("".join(map(row.format, *block)))
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _envelope(command: str, cfg: RunConfig, result: dict, passed: bool | None = None) -> dict:
+def _report(command: str, cfg: RunConfig, result: dict, passed: bool | None) -> str:
+    """A command's JSON envelope, as printed with --json and as written to
+    verify_report.json; ``pass`` is present only for commands with a verdict."""
     payload = {
         "command": command,
         "version": __version__,
@@ -108,18 +107,7 @@ def _envelope(command: str, cfg: RunConfig, result: dict, passed: bool | None = 
     }
     if passed is not None:
         payload["pass"] = bool(passed)
-    return payload
-
-
-def _io_options(args, cfg: RunConfig) -> tuple[bool, Path | None]:
-    """(emit JSON to stdout, output directory); flags beat config values."""
-    use_json = bool(args.json) or cfg.output_format() == "json"
-    target = args.out if args.out is not None else (cfg.output_dir() or None)
-    out = None
-    if target is not None:
-        out = Path(target)
-        out.mkdir(parents=True, exist_ok=True)
-    return use_json, out
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +115,25 @@ def _io_options(args, cfg: RunConfig) -> tuple[bool, Path | None]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_list(args) -> int:
-    cfg = load_config(args.config, args.param)
-    use_json, _ = _io_options(args, cfg)
+def _cmd_list(args, cfg: RunConfig, out: Path | None):
     catalog = family_catalog()
     if args.family:
-        if args.family not in catalog:
-            raise ConfigError(f"unknown family {args.family!r}")
+        _catalog_entry(args.family)
         catalog = {args.family: catalog[args.family]}
-    if use_json:
-        result = {"families": catalog}
-        if not args.family:
-            result["symmetries"] = list(symmetry_catalog())
-        _emit_json(_envelope("list", cfg, result))
-        return 0
+    result = {"families": catalog}
+    if not args.family:
+        result["symmetries"] = list(symmetry_catalog())
+    lines = []
     for tag, info in catalog.items():
-        print(f"{tag}")
-        print(f"  formula:   {info['formula']}")
         consts = ", ".join(info["constant_names"]) or "(none)"
-        print(f"  constants: {consts}")
-        print(f"  domain:    {info['domain']}")
-        print(f"  steady:    {info['steady']}")
-    return 0
+        lines += [
+            tag,
+            f"  formula:   {info['formula']}",
+            f"  constants: {consts}",
+            f"  domain:    {info['domain']}",
+            f"  steady:    {info['steady']}",
+        ]
+    return result, None, lines
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +141,7 @@ def _cmd_list(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
-    cfg = load_config(args.config, args.param)
-    use_json, out = _io_options(args, cfg)
+def _cmd_verify(args, cfg: RunConfig, out: Path | None):
     p = cfg.params()
     fam = cfg.family(p)
     grid = cfg.grid()
@@ -217,27 +200,21 @@ def _cmd_verify(args) -> int:
              "worst_t", "worst_x", "sample_count"],
             *zip(*rows),
         )
-        (out / "verify_report.json").write_text(
-            json.dumps(_envelope("verify", cfg, result, passed), sort_keys=True, indent=2) + "\n"
-        )
+        (out / "verify_report.json").write_text(_report("verify", cfg, result, passed) + "\n")
 
-    if use_json:
-        _emit_json(_envelope("verify", cfg, result, passed))
-    else:
-        pr = cfg.section("params")
-        gr = cfg.section("grid")
-        print(
-            "config: D={d} epsilon={epsilon} beta={beta} c={c}; grid "
-            "[{x_min},{x_max}]x{nx} t[{t_min},{t_max}]x{nt}".format(**pr, **gr)
-        )
-        print(f"family: {fam.tag}")
-        for note in fam.notes:
-            print(f"note: {note}")
-        print("boundary conditions: not part of the model; artifact choices are labeled")
-        for name, value, tol in checks:
-            verdict = "PASS" if value <= tol else "FAIL"
-            print(f"{verdict}  {name}: {value:.3e} (tol {tol:.1e})")
-    return 0 if passed else 1
+    lines = [
+        "config: D={d} epsilon={epsilon} beta={beta} c={c}; grid "
+        "[{x_min},{x_max}]x{nx} t[{t_min},{t_max}]x{nt}".format(
+            **cfg.section("params"), **cfg.section("grid")
+        ),
+        f"family: {fam.tag}",
+        *(f"note: {note}" for note in fam.notes),
+        "boundary conditions: not part of the model; artifact choices are labeled",
+    ]
+    for name, value, tol in checks:
+        verdict = "PASS" if value <= tol else "FAIL"
+        lines.append(f"{verdict}  {name}: {value:.3e} (tol {tol:.1e})")
+    return result, passed, lines
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +222,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_stability(args) -> int:
-    cfg = load_config(args.config, args.param)
-    use_json, out = _io_options(args, cfg)
+def _cmd_stability(args, cfg: RunConfig, out: Path | None):
     p = cfg.params()
     s = cfg.section("stability")
     if s["u_star"] == "auto":
@@ -282,16 +257,13 @@ def _cmd_stability(args) -> int:
                 sweep.ks, *sweep.sigma.real.T, *sweep.sigma.imag.T,
             )
 
-    if use_json:
-        _emit_json(_envelope("stability", cfg, {"points": result_points}))
-    else:
-        for pt in result_points:
-            print(
-                f"u*={pt['u_star']:.17g} v*={pt['v_star']:.17g}: "
-                f"{pt['classification']}; band edges: "
-                + (", ".join(f"{e:.17g}" for e in pt["band_edges"]) or "(none)")
-            )
-    return 0
+    lines = [
+        f"u*={pt['u_star']:.17g} v*={pt['v_star']:.17g}: "
+        f"{pt['classification']}; band edges: "
+        + (", ".join(f"{e:.17g}" for e in pt["band_edges"]) or "(none)")
+        for pt in result_points
+    ]
+    return {"points": result_points}, None, lines
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +271,13 @@ def _cmd_stability(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
-    overrides = list(args.param)
-    if args.scheme:
-        overrides.append(f"sim.scheme={args.scheme}")
-    if args.cfl is not None:
-        overrides.append(f"sim.cfl_safety={args.cfl!r}")
-    if args.refinements is not None:
-        overrides.append(f"sim.refinements={args.refinements}")
-    cfg = load_config(args.config, overrides)
-
-    use_json, out = _io_options(args, cfg)
+def _cmd_simulate(args, cfg: RunConfig, out: Path | None):
     p = cfg.params()
     fam = cfg.family(p)
     sim_cfg = cfg.sim_config()
 
     result: dict = {"family": fam.tag, "scheme": sim_cfg.scheme, "bc": sim_cfg.bc}
+    lines = [f"family: {fam.tag}  scheme: {sim_cfg.scheme}  bc: {sim_cfg.bc}"]
 
     refinements = cfg.section("sim")["refinements"]
     if refinements >= 2:
@@ -337,6 +300,12 @@ def _cmd_simulate(args) -> int:
     sim = run(fam, p, sim_cfg)
     result["max_error_linf_u"] = sim.max_error_u()
     result["max_error_linf_v"] = sim.max_error_v()
+    lines.append(
+        f"max Linf error vs exact: u {sim.max_error_u():.3e}, v {sim.max_error_v():.3e}"
+    )
+    if "convergence" in result:
+        orders = ", ".join(f"{o:.3f}" for o in result["convergence"]["orders"])
+        lines.append(f"observed spatial orders: {orders}")
 
     if out is not None:
         _write_csv(
@@ -346,16 +315,7 @@ def _cmd_simulate(args) -> int:
             out / "trajectory.csv", ["t", "x", "u", "v"], sim.ts[:, None], sim.xs, sim.us, sim.vs
         )
         write_frames(out / "frames.bin", sim.ts, sim.xs, sim.us, sim.vs)
-
-    if use_json:
-        _emit_json(_envelope("simulate", cfg, result))
-    else:
-        print(f"family: {fam.tag}  scheme: {sim_cfg.scheme}  bc: {sim_cfg.bc}")
-        print(f"max Linf error vs exact: u {sim.max_error_u():.3e}, v {sim.max_error_v():.3e}")
-        if "convergence" in result:
-            orders = ", ".join(f"{o:.3f}" for o in result["convergence"]["orders"])
-            print(f"observed spatial orders: {orders}")
-    return 0
+    return result, None, lines
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +335,7 @@ pause -1
 """
 
 
-def _cmd_figure(args) -> int:
-    cfg = load_config(args.config, args.param)
-    use_json, out = _io_options(args, cfg)
+def _cmd_figure(args, cfg: RunConfig, out: Path | None):
     p = cfg.params()
     fam = cfg.family(p)
     grid = cfg.grid()
@@ -400,11 +358,7 @@ def _cmd_figure(args) -> int:
         "script": str(out / f"figure{args.figure}.gp"),
         "origin_value": float(field[np.argmin(np.abs(ts)), np.argmin(np.abs(xs))]),
     }
-    if use_json:
-        _emit_json(_envelope("figure", cfg, result))
-    else:
-        print(f"wrote {result['csv']} and {result['script']}")
-    return 0
+    return result, None, [f"wrote {result['csv']} and {result['script']}"]
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +366,7 @@ def _cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_constraints(args) -> int:
-    cfg = load_config(args.config, args.param)
-    use_json, _ = _io_options(args, cfg)
+def _cmd_constraints(args, cfg: RunConfig, out: Path | None):
     p = cfg.params()
     s = cfg.section("ansatz")
     if s["n"] < 1:
@@ -456,16 +408,14 @@ def _cmd_constraints(args) -> int:
             "sweep_worst_rel": worst_rel,
         },
     }
-    if use_json:
-        _emit_json(_envelope("constraints", cfg, result, passed))
-    else:
-        print(f"A = {A:.17g}, B = {B:.17g}")
-        for name, value in report.to_dict().items():
-            print(f"{name}: {value:.3e}")
-        print(f"k = {k_here.real:.17g} + {k_here.imag:.17g} i, k^2 = {nonclassical_k_squared(p):.17g}")
-        print(f"wavenumber identity sweep ({s['k_sweep']} draws): worst rel {worst_rel:.3e}")
-        print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+    lines = [
+        f"A = {A:.17g}, B = {B:.17g}",
+        *(f"{name}: {value:.3e}" for name, value in report.to_dict().items()),
+        f"k = {k_here.real:.17g} + {k_here.imag:.17g} i, k^2 = {nonclassical_k_squared(p):.17g}",
+        f"wavenumber identity sweep ({s['k_sweep']} draws): worst rel {worst_rel:.3e}",
+        "PASS" if passed else "FAIL",
+    ]
+    return result, passed, lines
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +461,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(handler=_cmd_stability)
 
+    # flags whose dest is a dotted sim.* key are config overrides (see main)
     sp = sub.add_parser("simulate", help="method-of-lines cross-check run")
     common(sp)
-    sp.add_argument("--scheme", choices=["rk4", "semi-implicit"], default=None)
-    sp.add_argument("--cfl", type=float, default=None, help="cfl safety factor")
-    sp.add_argument("--refinements", type=int, default=None,
+    sp.add_argument("--scheme", dest="sim.scheme", choices=["rk4", "semi-implicit"])
+    sp.add_argument("--cfl", dest="sim.cfl_safety", type=float, metavar="CFL",
+                    help="cfl safety factor")
+    sp.add_argument("--refinements", dest="sim.refinements", type=int, metavar="REFINEMENTS",
                     help="convergence-study refinement count (>= 2 enables the study)")
     sp.set_defaults(handler=_cmd_simulate)
 
@@ -535,8 +487,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    flag_overrides = [
+        f"{key}={value}" for key, value in vars(args).items()
+        if key.startswith("sim.") and value is not None
+    ]
     try:
-        return args.handler(args)
+        cfg = load_config(args.config, [*args.param, *flag_overrides])
+        # flags beat config values; --json skips the output.format check
+        use_json = args.json or cfg.output_format() == "json"
+        target = args.out if args.out is not None else (cfg.output_dir() or None)
+        out = None if target is None else Path(target)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        result, passed, lines = args.handler(args, cfg, out)
+        print(_report(args.command, cfg, result, passed) if use_json else "\n".join(lines))
+        return 0 if passed is None or passed else 1
     except ConfigError as exc:  # includes CflViolation
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -717,12 +717,17 @@ def family_catalog() -> dict:
     }
 
 
+def _catalog_entry(tag: str) -> dict:
+    """A tag's catalog entry; an unknown tag raises ConfigError naming the known tags."""
+    if tag not in _CATALOG:
+        raise ConfigError(f"unknown family tag {tag!r}; known: {', '.join(FAMILY_TAGS)}")
+    return _CATALOG[tag]
+
+
 def make_family(tag: str, p: Params, **constants) -> SolutionFamily:
     """Construct a catalog family from its tag and constant map; an unknown
     tag or constant raises ConfigError."""
-    if tag not in _FAMILIES:
-        raise ConfigError(f"unknown family tag {tag!r}; known: {', '.join(FAMILY_TAGS)}")
-    allowed = set(_CATALOG[tag]["constant_names"])
+    allowed = set(_catalog_entry(tag)["constant_names"])
     unknown = set(constants) - allowed
     if unknown:
         raise ConfigError(
