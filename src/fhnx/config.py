@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .core import ConfigError, Grid, Params
 from .simulate import SimConfig
-from .solutions import SolutionFamily, family_catalog, make_family
+from .solutions import SolutionFamily, _catalog_entry, make_family
 
 __all__ = ["RunConfig", "load_config", "SCHEMA"]
 
@@ -113,9 +113,11 @@ def _coerce(section: str, key: str, raw: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration (every key present)."""
+    """Fully resolved configuration (every key present); ``given`` holds the
+    (section, key) pairs that the file or an override set."""
 
     values: dict
+    given: frozenset = frozenset()
 
     def section(self, name: str) -> dict:
         return self.values[name]
@@ -129,10 +131,12 @@ class RunConfig:
         return Params(D=s["d"], epsilon=s["epsilon"], beta=s["beta"], c=s["c"])
 
     def family(self, p: Params | None = None) -> SolutionFamily:
-        """The configured family with the constants its tag takes;
-        ``make_family`` rejects an unknown tag."""
+        """The configured family with the constants its tag takes, plus any
+        family constant that was given, so that ``make_family`` rejects one the
+        tag does not take (and an unknown tag)."""
         s = self.section("family")
-        names = family_catalog().get(s["tag"], {}).get("constant_names", ())
+        names = set(_catalog_entry(s["tag"])["constant_names"])
+        names |= {key for sec, key in self.given if sec == "family" and key != "tag"}
         return make_family(
             s["tag"], p if p is not None else self.params(), **{key: s[key] for key in names}
         )
@@ -180,6 +184,7 @@ def _defaults() -> dict:
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Read the config file (optional) and apply --param overrides."""
     values = _defaults()
+    given = set()
 
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -196,6 +201,7 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
                 if key not in SCHEMA[sec]:
                     raise ConfigError(f"unknown config key {sec}.{key}")
                 values[sec][key] = _coerce(sec, key, raw)
+                given.add((sec, key))
 
     for item in overrides or []:
         if "=" not in item:
@@ -209,5 +215,6 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         if sec not in SCHEMA or key not in SCHEMA[sec]:
             raise ConfigError(f"unknown override {sec}.{key}")
         values[sec][key] = _coerce(sec, key, raw.strip())
+        given.add((sec, key))
 
-    return RunConfig(values=values)
+    return RunConfig(values=values, given=frozenset(given))

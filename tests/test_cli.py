@@ -11,7 +11,7 @@ import pytest
 from fhnx.cli import CSV_BLOCK_ROWS, _write_csv, main
 from fhnx.config import load_config
 from fhnx.core import ConfigError
-from fhnx.solutions import make_family
+from fhnx.solutions import FAMILY_TAGS, make_family
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "cli-output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -90,6 +90,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.cfg")
 
+    def test_given_family_constant_the_tag_does_not_take_rejected(self, tmp_path):
+        # defaults of the other families' constants are not given, so they pass
+        assert load_config(None, ["family.tag=TanhFrontPlus"]).family().tag == "TanhFrontPlus"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[family]\ntag = FixedPointZero\nc2 = 0.5\n")
+        with pytest.raises(ConfigError, match=r"FixedPointZero does not accept constants \['c2'\]"):
+            load_config(cfg_file).family()
+        cfg = load_config(None, ["family.tag=TanhFrontPlus", "family.c1=7", "family.x0=0.5"])
+        with pytest.raises(ConfigError, match=r"TanhFrontPlus does not accept constants \['c1'\]"):
+            cfg.family()
+        # constraints reads family.c1/c2 directly, whatever the tag
+        assert main(["constraints", "--param", "family.tag=TanhFrontPlus",
+                     "--param", "family.c1=0.5", "--param", "ansatz.k_sweep=10"]) == 0
+
 
 class TestList:
     def test_nine_families_in_text_output(self, capsys):
@@ -124,7 +138,12 @@ class TestList:
         assert out.count("formula:") == 1
 
     def test_unknown_family_is_config_error(self, capsys):
+        # the message is make_family's, which names the known tags
         assert main(["list", "--family", "NoSuch"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown family tag 'NoSuch'; known: "
+            + ", ".join(FAMILY_TAGS) + "\n"
+        )
 
 
 class TestVerify:
@@ -559,6 +578,8 @@ TYPED_FAILURES = [
      "domain error: ansatz constraint residuals overflow float64"),
     (["verify", "--param", "family.tag=JacobiSnSteady", "--param", "params.beta=1e200"], 3,
      "domain error: sn modulus overflows float64 at beta = 1e+200"),
+    (["verify", "--param", "family.tag=TanhFrontPlus", "--param", "family.c1=7", *SMALL_GRID], 2,
+     "config error: family TanhFrontPlus does not accept constants ['c1']; allowed: ['x0']"),
 ]
 
 
