@@ -162,7 +162,10 @@ class RunConfig:
         )
 
     def seed(self) -> int:
-        return self.section("run")["seed"]
+        seed = self.section("run")["seed"]
+        if seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {seed}")
+        return seed
 
     def tol(self, name: str) -> float:
         return self.section("tolerances")[name]

@@ -166,6 +166,13 @@ class Grid:
             raise ConfigError("t_max must not precede t_min")
         if self.nt > 1 and not self.t_max > self.t_min:
             raise ConfigError("nt > 1 requires t_max > t_min")
+        # stencils, the CFL bound and the steppers divide by dx**2 and h**order
+        if not (math.isfinite(self.dx * self.dx) and math.isfinite(self.dt * self.dt)):
+            raise ConfigError(
+                f"grid step squared overflows float64 at dx = {self.dx!r}, dt = {self.dt!r}"
+            )
+        if self.dx * self.dx == 0.0:
+            raise ConfigError(f"dx**2 underflows to 0 at dx = {self.dx!r}")
 
     @property
     def dx(self) -> float:

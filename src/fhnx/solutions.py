@@ -138,7 +138,12 @@ def solve_depressed_cubic(p: float, q: float) -> tuple[tuple[float, ...], tuple[
         s = math.sqrt(-p)
         return (-s, 0.0, s), (1, 1, 1)
 
-    disc = (p / 3.0) ** 3 + (q / 2.0) ** 2
+    try:
+        disc = (p / 3.0) ** 3 + (q / 2.0) ** 2
+    except OverflowError:
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise OutOfDomain(f"cubic discriminant overflows float64 at p = {p!r}, q = {q!r}")
     if disc > 0.0:
         s = math.sqrt(disc)
         root = _cbrt_real(-q / 2.0 + s) + _cbrt_real(-q / 2.0 - s)
@@ -191,7 +196,10 @@ def _unforced_fixed_points(p: Params) -> list[FixedPoint]:
 
 def _cardano_a(p: Params) -> tuple[complex, complex]:
     b = p.beta
-    rad = -(4.0 * b**3 - 12.0 * b**2 + 12.0 * b - 4.0) / b
+    try:
+        rad = -(4.0 * b**3 - 12.0 * b**2 + 12.0 * b - 4.0) / b
+    except OverflowError:
+        raise OutOfDomain(f"Cardano A radicand overflows float64 at beta = {b!r}") from None
     w = ccbrt(4.0 * csqrt(rad) * b * b)
     if w == 0:
         raise SingularParameter("beta = 1 collapses the Cardano denominator")
@@ -202,7 +210,10 @@ def _cardano_a(p: Params) -> tuple[complex, complex]:
 
 def _cardano_b(p: Params) -> tuple[complex, complex]:
     b = p.beta
-    rad = -((b - 1.0) ** 3) / b
+    try:
+        rad = -((b - 1.0) ** 3) / b
+    except OverflowError:
+        raise OutOfDomain(f"Cardano B radicand overflows float64 at beta = {b!r}") from None
     vv = ccbrt(csqrt(rad) * b * b)
     if vv == 0:
         raise SingularParameter("beta = 1 collapses the Cardano denominator")
@@ -213,8 +224,11 @@ def _cardano_b(p: Params) -> tuple[complex, complex]:
 
 def _plus_minus(p: Params, sign: float) -> tuple[complex, complex]:
     b = p.beta
+    b_sqrt_b = b * csqrt(b)
+    if b_sqrt_b == 0:
+        raise SingularParameter(f"beta * sqrt(beta) underflows to 0 at beta = {b!r}")
     u = sign * csqrt(3.0) * csqrt(b - 1.0) / csqrt(b)
-    v = sign * csqrt(3.0) * csqrt(b - 1.0) / (b * csqrt(b))
+    v = sign * csqrt(3.0) * csqrt(b - 1.0) / b_sqrt_b
     return u, v
 
 
@@ -456,6 +470,11 @@ class TanhFront(SolutionFamily):
             raise FhnxError("sign must be +1 or -1")
         if self.params.beta <= 1.0:
             raise OutOfDomain("tanh front requires beta > 1")
+        # u_xx carries steepness**2
+        if not math.isfinite(self.steepness * self.steepness):
+            raise OutOfDomain(
+                f"tanh front steepness squared overflows float64 at D = {self.params.D!r}"
+            )
         object.__setattr__(self, "x0", float(self.x0))
 
     @property
@@ -542,6 +561,9 @@ class JacobiSnSteady(SolutionFamily):
         object.__setattr__(
             self, "steepness", s_amp * math.sqrt(6.0 * p.D * b * five) / (6.0 * p.D * b)
         )
+        # u_xx carries steepness**2
+        if not math.isfinite(self.steepness * self.steepness):
+            raise OutOfDomain(f"sn steepness squared overflows float64 at D = {p.D!r}")
 
     def _z(self, x):
         return self.z0 + self.steepness * np.asarray(x, dtype=float)

@@ -580,6 +580,30 @@ TYPED_FAILURES = [
      "domain error: sn modulus overflows float64 at beta = 1e+200"),
     (["verify", "--param", "family.tag=TanhFrontPlus", "--param", "family.c1=7", *SMALL_GRID], 2,
      "config error: family TanhFrontPlus does not accept constants ['c1']; allowed: ['x0']"),
+    # found by tests/test_cli_fuzz.py
+    (["simulate", "--param", "grid.x_max=1e300", "--param", "grid.nx=11", "--param", "grid.nt=6"],
+     2, "config error: grid step squared overflows float64 at dx = 1e+299, dt = 1.0"),
+    (["verify", "--param", "grid.x_max=1e300", "--param", "grid.nx=11", "--param", "grid.nt=3"],
+     2, "config error: grid step squared overflows float64 at dx = 1e+299, dt = 2.5"),
+    (["simulate", "--scheme", "semi-implicit", "--param", "grid.x_min=0",
+      "--param", "grid.x_max=1e-200", "--param", "grid.nx=11", "--param", "grid.nt=3"],
+     2, "config error: dx**2 underflows to 0 at dx = 1e-201"),
+    (["stability", "--param", "params.c=1e200"], 3,
+     "domain error: cubic discriminant overflows float64 at p = -1.5, q = 1.5e+200"),
+    (["figure", "--figure", "1", "--param", "params.beta=1e-320",
+      "--param", "family.tag=FixedPointMinus"], 3,
+     "domain error: beta * sqrt(beta) underflows to 0 at beta = 1e-320"),
+    (["verify", "--param", "family.tag=JacobiSnSteady", "--param", "family.c2=0.5",
+      "--param", "params.d=1e-320"], 3,
+     "domain error: sn steepness squared overflows float64 at D = 1e-320"),
+    (["figure", "--figure", "1", "--param", "family.tag=TanhFrontMinus",
+      "--param", "params.d=1e-320"], 3,
+     "domain error: tanh front steepness squared overflows float64 at D = 1e-320"),
+    (["verify", "--param", "family.tag=FixedPointCardanoA", "--param", "params.beta=1e300"], 3,
+     "domain error: Cardano A radicand overflows float64 at beta = 1e+300"),
+    (["verify", "--param", "family.tag=FixedPointCardanoB", "--param", "params.beta=1e300"], 3,
+     "domain error: Cardano B radicand overflows float64 at beta = 1e+300"),
+    (["constraints", "--param", "run.seed=-1"], 2, "config error: run.seed must be >= 0, got -1"),
 ]
 
 
