@@ -16,7 +16,10 @@ Runs accumulate over several invocations; after each run the file's
 ``machine`` (from the benchmark's detail line) and ``summary`` are brought
 up to date.  The summary holds, per workload, label and end-to-end metric,
 the median and quartiles of the untraced runs and, for the change, the
-pairs (same workload and seed) it wins and loses against the parent.
+pairs (same workload and seed) it wins and loses against the parent; per
+workload and label it also holds the quartiles of the untraced runs' pass
+counts (``passes``: the ``n`` of a run's operations), against which
+``peak_rss_mb`` is read, since the worker keeps every pass's records.
 """
 from __future__ import annotations
 
@@ -102,8 +105,12 @@ def _quartiles(values: list[float]) -> dict:
 def _summary(runs: list[dict]) -> dict:
     metrics = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     values: dict = {}
+    passes: dict = {}
     for run in runs:
         if run["trace"] == 0 and "result" in run:
+            ops = run["detail"]["detail"]["ops"].values()
+            passes.setdefault((run["workload"], run["label"]), []).append(
+                min((op["wall_s"]["n"] for op in ops), default=0))
             for name in metrics:
                 value = run["result"]["metrics"].get(name, {}).get("value")
                 if value is not None:
@@ -120,6 +127,8 @@ def _summary(runs: list[dict]) -> dict:
             entry["wins"] = sum(d > 0 for d in diffs)
             entry["losses"] = sum(d < 0 for d in diffs)
         summary.setdefault(workload, {}).setdefault(label, {})[name] = entry
+    for (workload, label), counts in passes.items():
+        summary.setdefault(workload, {}).setdefault(label, {})["passes"] = _quartiles(counts)
     for run in runs:
         if "result" in run:
             failed = run["result"]["failed"]
