@@ -7,6 +7,13 @@ Exit codes: 0 pass, 1 verification failure (or blow-up), 2 config error,
 3 domain error.  Every command is deterministic given (config, seed): CSV
 files are bytewise reproducible, numbers are serialized with 17 significant
 digits, and JSON output validates against schemas/cli-output.schema.json.
+
+``main`` alone loads the config, resolves --json/--out (creating the output
+directory), prints the report and maps the outcome to the exit code.  Each
+handler ``_cmd_x(args, cfg, out)`` computes, writes its own files into
+``out`` (None without one) and returns ``(result, passed, lines)``: the
+JSON ``result`` object, the pass verdict (None for commands without one,
+which exit 0) and its text-mode stdout lines.
 """
 
 from __future__ import annotations
