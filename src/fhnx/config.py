@@ -117,7 +117,7 @@ class RunConfig:
     (section, key) pairs that the file or an override set."""
 
     values: dict
-    given: frozenset = frozenset()
+    given: frozenset
 
     def section(self, name: str) -> dict:
         return self.values[name]

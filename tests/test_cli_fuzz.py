@@ -5,9 +5,10 @@ from edge values, must end in exit code 0, 1, 2 or 3 with no traceback and
 no RuntimeWarning, and its ``--json`` report must hold no NaN or Infinity.
 Grids are small, so one example costs milliseconds.
 
-The search is derandomized, so every run draws the same examples.
-``MAX_EXAMPLES`` = 400 runs in about two seconds; a scratch sweep of 2,000
-draws hit the same failure kinds as the first few hundred.
+The search is derandomized, so every run draws the same examples, and
+``MAX_EXAMPLES`` = 400 keeps it at about 3.5 s (2-vCPU Xeon, Python 3.11).
+The failures it has found are pinned with their messages in
+``tests/test_cli.py``'s ``TYPED_FAILURES``.
 """
 
 from __future__ import annotations
