@@ -507,7 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
         result, passed, lines = args.handler(args, cfg, out)
-        print(_report(args.command, cfg, result, passed) if use_json else "\n".join(lines))
+        report = [_report(args.command, cfg, result, passed)] if use_json else lines
+        print(*report, sep="\n")
         return 0 if passed is None or passed else 1
     except ConfigError as exc:  # includes CflViolation
         print(f"config error: {exc}", file=sys.stderr)
