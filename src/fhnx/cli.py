@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -124,11 +125,11 @@ def _report(command: str, cfg: RunConfig, result: dict, passed: bool | None) -> 
 
 def _cmd_list(args, cfg: RunConfig, out: Path | None):
     catalog = family_catalog()
-    if args.family:
+    if args.family is not None:
         _catalog_entry(args.family)
         catalog = {args.family: catalog[args.family]}
     result = {"families": catalog}
-    if not args.family:
+    if args.family is None:
         result["symmetries"] = list(symmetry_catalog())
     lines = []
     for tag, info in catalog.items():
@@ -509,7 +510,13 @@ def main(argv: list[str] | None = None) -> int:
         result, passed, lines = args.handler(args, cfg, out)
         report = [_report(args.command, cfg, result, passed)] if use_json else lines
         print(*report, sep="\n")
+        sys.stdout.flush()
         return 0 if passed is None or passed else 1
+    except BrokenPipeError:
+        # the reader closed stdout: point fd 1 at devnull so that the flush
+        # at exit cannot fail as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:  # includes CflViolation
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -83,14 +83,6 @@ __all__ = [
     "family_catalog",
 ]
 
-FIXED_POINT_TAGS = (
-    "FixedPointZero",
-    "FixedPointPlus",
-    "FixedPointMinus",
-    "FixedPointCardanoA",
-    "FixedPointCardanoB",
-)
-
 # Modulus dust tolerance: the tanh limit of the sn steady state lands a few
 # ulps above 1 in floating point; values in (1, 1 + 1e-12] are clamped to 1.
 _MODULUS_DUST = 1e-12
@@ -232,6 +224,17 @@ def _plus_minus(p: Params, sign: float) -> tuple[complex, complex]:
     return u, v
 
 
+# tag -> its radical formula, p -> (u, v) in complex arithmetic
+_CLOSED_FORMS = {
+    "FixedPointZero": lambda p: (0j, 0j),
+    "FixedPointPlus": lambda p: _plus_minus(p, +1.0),
+    "FixedPointMinus": lambda p: _plus_minus(p, -1.0),
+    "FixedPointCardanoA": _cardano_a,
+    "FixedPointCardanoB": _cardano_b,
+}
+FIXED_POINT_TAGS = tuple(_CLOSED_FORMS)
+
+
 def eval_fixed_point_closed_form(p: Params, which: str) -> tuple[complex, complex]:
     """Evaluate one radical fixed-point formula literally (principal branches).
 
@@ -240,19 +243,9 @@ def eval_fixed_point_closed_form(p: Params, which: str) -> tuple[complex, comple
     genuine imaginary part (e.g. the Plus amplitude below beta = 1) are
     returned as-is.
     """
-    if which == "FixedPointZero":
-        u, v = 0j, 0j
-    elif which == "FixedPointPlus":
-        u, v = _plus_minus(p, +1.0)
-    elif which == "FixedPointMinus":
-        u, v = _plus_minus(p, -1.0)
-    elif which == "FixedPointCardanoA":
-        u, v = _cardano_a(p)
-    elif which == "FixedPointCardanoB":
-        u, v = _cardano_b(p)
-    else:
+    if which not in _CLOSED_FORMS:
         raise FhnxError(f"unknown fixed-point tag {which!r}")
-
+    u, v = _CLOSED_FORMS[which](p)
     if is_effectively_real(u):
         if _match_root(u.real, _unforced_fixed_points(p)) is None:
             raise BranchMismatch(
@@ -664,86 +657,75 @@ class NonClassicalExp(SolutionFamily):
 # Catalog and factory
 # ---------------------------------------------------------------------------
 
-_CATALOG = {
-    "FixedPointZero": {
+# tag -> (class, the keyword arguments the tag fixes, catalog text); the
+# class says whether the family is steady and holds the defaults of its
+# constants
+_FAMILIES = {
+    "FixedPointZero": (FixedPointState, {}, {
         "formula": "u = 0, v = 0",
         "constant_names": [],
         "domain": "any valid parameters",
-    },
-    "FixedPointPlus": {
+    }),
+    "FixedPointPlus": (FixedPointState, {}, {
         "formula": "u = sqrt(3) sqrt(beta-1) / sqrt(beta), v = u/beta",
         "constant_names": [],
         "domain": "beta >= 1 (amplitude real)",
-    },
-    "FixedPointMinus": {
+    }),
+    "FixedPointMinus": (FixedPointState, {}, {
         "formula": "u = -sqrt(3) sqrt(beta-1) / sqrt(beta), v = u/beta",
         "constant_names": [],
         "domain": "beta >= 1 (amplitude real)",
-    },
-    "FixedPointCardanoA": {
+    }),
+    "FixedPointCardanoA": (FixedPointState, {}, {
         "formula": "Cardano radical form of a cubic root, "
         "u = W/(2 beta) + 2(beta-1)/W with W**3 = 4 beta**2 sqrt(-4(beta-1)**3/beta)",
         "constant_names": [],
         "domain": "beta != 1; complex intermediates cancel to a real root",
-    },
-    "FixedPointCardanoB": {
+    }),
+    "FixedPointCardanoB": (FixedPointState, {}, {
         "formula": "Cardano radical form of a cubic root, "
         "u = (V**2 + beta**2 - beta)/(V beta) with V**3 = beta**2 sqrt(-(beta-1)**3/beta)",
         "constant_names": [],
         "domain": "beta != 1; complex intermediates cancel to a real root",
-    },
-    "TanhFrontPlus": {
+    }),
+    "TanhFrontPlus": (TanhFront, {"sign": +1}, {
         "formula": "u = -a tanh(b (x + x0)), v = u/beta; "
         "a = sqrt(3(beta-1)/beta), b = sqrt((beta-1)/(2 D beta))",
         "constant_names": ["x0"],
         "domain": "beta > 1",
-    },
-    "TanhFrontMinus": {
+    }),
+    "TanhFrontMinus": (TanhFront, {"sign": -1}, {
         "formula": "u = +a tanh(b (x + x0)), v = u/beta; "
         "a = sqrt(3(beta-1)/beta), b = sqrt((beta-1)/(2 D beta))",
         "constant_names": ["x0"],
         "domain": "beta > 1",
-    },
-    "JacobiSnSteady": {
+    }),
+    "JacobiSnSteady": (JacobiSnSteady, {}, {
         "formula": "u = c2 sqrt(6 (beta-1)/(beta c2**2 + 5 beta - 6)) "
         "sn(z0 + b x, m), v = u/beta (assumed)",
         "constant_names": ["c1", "c2"],
         "domain": "beta > 6/5 and modulus m = c2 sqrt(beta/(5 beta - 6)) in [0, 1]",
-    },
-    "NonClassicalExp": {
+    }),
+    "NonClassicalExp": (NonClassicalExp, {}, {
         "formula": "u = exp(-eps beta t/3) (c1 e^{-kx} + c2 e^{kx}), "
         "k**2 = (9 - 6 beta - 2 eps beta**2)/(6 beta D); v = 3u/(2 beta) - u**3/3",
         "constant_names": ["c1", "c2"],
         "domain": "any valid parameters; imaginary k needs c1 = c2 for a real u",
-    },
+    }),
 }
-
-
-FAMILY_TAGS = tuple(_CATALOG)
-
-# tag -> (class, the keyword arguments the tag fixes); the class says whether
-# the family is steady and holds the defaults of its constants
-_FAMILIES = {
-    **{tag: (FixedPointState, {}) for tag in FIXED_POINT_TAGS},
-    "TanhFrontPlus": (TanhFront, {"sign": +1}),
-    "TanhFrontMinus": (TanhFront, {"sign": -1}),
-    "JacobiSnSteady": (JacobiSnSteady, {}),
-    "NonClassicalExp": (NonClassicalExp, {}),
-}
+FAMILY_TAGS = tuple(_FAMILIES)
 
 
 def family_catalog() -> dict:
     """Static catalog: tag, closed-form description, constants, domain, steady."""
-    return {
-        tag: {**info, "steady": _FAMILIES[tag][0].steady} for tag, info in _CATALOG.items()
-    }
+    return {tag: {**text, "steady": cls.steady} for tag, (cls, _, text) in _FAMILIES.items()}
 
 
 def _catalog_entry(tag: str) -> dict:
-    """A tag's catalog entry; an unknown tag raises ConfigError naming the known tags."""
-    if tag not in _CATALOG:
+    """A tag's catalog text; an unknown tag raises ConfigError naming the known tags."""
+    if tag not in _FAMILIES:
         raise ConfigError(f"unknown family tag {tag!r}; known: {', '.join(FAMILY_TAGS)}")
-    return _CATALOG[tag]
+    return _FAMILIES[tag][2]
 
 
 def make_family(tag: str, p: Params, **constants) -> SolutionFamily:
@@ -756,7 +738,7 @@ def make_family(tag: str, p: Params, **constants) -> SolutionFamily:
             f"family {tag} does not accept constants {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}"
         )
-    cls, fixed = _FAMILIES[tag]
+    cls, fixed, _ = _FAMILIES[tag]
     if cls is FixedPointState:
         return _fixed_point_family(p, tag)
     return cls(params=p, **fixed, **constants)

@@ -1,0 +1,54 @@
+"""The BENCH summary of tools/bench_record.py, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+
+def _run(label, seed, wall_s, peak_rss_mb, passes=3):
+    return {
+        "label": label, "workload": "exact-check", "seed": seed, "trace": 0,
+        "result": {"failed": 0, "metrics": {"wall_s": {"value": wall_s},
+                                            "peak_rss_mb": {"value": peak_rss_mb}}},
+        "detail": {"detail": {"ops": {"verify": {"wall_s": {"n": passes}}}}},
+    }
+
+
+RUNS = [
+    _run("parent", 1, 1.0, 100.0),
+    _run("change", 1, 1.21, 106.0),
+    _run("change", 2, 1.43, 106.0),
+    _run("parent", 2, 1.2, 100.0),
+]
+
+
+def test_change_metrics_carry_median_change_and_bound_check():
+    summary = bench_record._summary(RUNS)["exact-check"]
+    wall = summary["change"]["wall_s"]
+    # change median 1.32 against parent median 1.1: 20% worse, bound 0.25
+    assert wall["median_change"] == pytest.approx(0.2)
+    assert wall["within_bound"] is True
+    assert (wall["pairs"], wall["wins"], wall["losses"]) == (2, 0, 2)
+    rss = summary["change"]["peak_rss_mb"]
+    # 6% worse against the bound 0.05
+    assert rss["median_change"] == pytest.approx(0.06)
+    assert rss["within_bound"] is False
+    assert "median_change" not in summary["parent"]["wall_s"]
+    assert summary["change"]["failed_operations"] == 0
+    assert summary["parent"]["passes"]["median"] == 3
+
+
+def test_median_change_is_negative_when_a_higher_is_better_metric_rises(monkeypatch):
+    end_to_end = [{**m, "better": "higher"} if m["name"] == "wall_s" else m
+                  for m in bench_record.BENCHMARK["end_to_end"]]
+    monkeypatch.setitem(bench_record.BENCHMARK, "end_to_end", end_to_end)
+    wall = bench_record._summary(RUNS)["exact-check"]["change"]["wall_s"]
+    assert wall["median_change"] == pytest.approx(-0.2)
+    assert wall["within_bound"] is True
+    assert (wall["wins"], wall["losses"]) == (2, 0)

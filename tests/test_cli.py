@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -137,11 +140,12 @@ class TestList:
         assert "beta > 1" in out
         assert out.count("formula:") == 1
 
-    def test_unknown_family_is_config_error(self, capsys):
+    @pytest.mark.parametrize("tag", ["NoSuch", ""])
+    def test_unknown_family_is_config_error(self, capsys, tag):
         # the message is make_family's, which names the known tags
-        assert main(["list", "--family", "NoSuch"]) == 2
+        assert main(["list", "--family", tag]) == 2
         assert capsys.readouterr().err == (
-            "config error: unknown family tag 'NoSuch'; known: "
+            f"config error: unknown family tag {tag!r}; known: "
             + ", ".join(FAMILY_TAGS) + "\n"
         )
 
@@ -626,6 +630,31 @@ class TestTypedFailures:
         assert code == 0
         assert payload["result"]["wavenumber"]["sweep_count"] == 0
         assert payload["result"]["wavenumber"]["sweep_worst_rel"] == 0.0
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["list", "--json"], ["verify", *SMALL_GRID]],
+                             ids=["list", "verify"])
+    def test_exit_1_without_traceback(self, argv, unbuffered):
+        # the pipe's read end is closed before the child starts, so its first
+        # write to stdout fails with EPIPE whatever the buffering
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "fhnx.cli", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestJsonSchemaEveryCommand:

@@ -8,6 +8,7 @@ from fhnx.core import (
     BranchMismatch,
     Grid,
     ComplexResult,
+    FhnxError,
     OutOfDomain,
     Params,
     SingularParameter,
@@ -17,6 +18,7 @@ from fhnx.core import (
 from fhnx.solutions import (
     FAMILY_TAGS,
     FIXED_POINT_TAGS,
+    FixedPointState,
     closed_form_root_match,
     eval_fixed_point_closed_form,
     family_catalog,
@@ -152,6 +154,10 @@ class TestClosedForms:
         for tag in ("FixedPointCardanoA", "FixedPointCardanoB"):
             with pytest.raises(SingularParameter):
                 eval_fixed_point_closed_form(p, tag)
+
+    def test_unknown_tag_is_an_error(self):
+        with pytest.raises(FhnxError, match="unknown fixed-point tag 'TanhFrontPlus'"):
+            eval_fixed_point_closed_form(FIG1, "TanhFrontPlus")
 
 
 class TestTanhFront:
@@ -485,6 +491,7 @@ class TestFamilySurface:
         }.get(tag, {})
         fam = make_family(tag, FIG1, **constants)
         assert fam.tag == tag
+        assert isinstance(fam, FixedPointState) == (tag in FIXED_POINT_TAGS)
         u, v = fam.eval(0.5, 0.25)
         assert np.isfinite(float(u)) and np.isfinite(float(v))
         for d in fam.eval_derivs(0.5, 0.25):

@@ -16,7 +16,10 @@ Runs accumulate over several invocations; after each run the file's
 ``machine`` (from the benchmark's detail line) and ``summary`` are brought
 up to date.  The summary holds, per workload, label and end-to-end metric,
 the median and quartiles of the untraced runs and, for the change, the
-pairs (same workload and seed) it wins and loses against the parent; per
+pairs (same workload and seed) it wins and loses against the parent, its
+``median_change`` (change median minus parent median over the parent
+median, signed so that > 0 is worse) and ``within_bound`` (whether that is
+at most the metric's ``bound`` in ``BENCHMARK.json``); per
 workload and label it also holds the quartiles of the untraced runs' pass
 counts (``passes``: the ``n`` of a run's operations), against which
 ``peak_rss_mb`` is read, since the worker keeps every pass's records.
@@ -103,7 +106,7 @@ def _quartiles(values: list[float]) -> dict:
 
 
 def _summary(runs: list[dict]) -> dict:
-    metrics = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    metrics = {m["name"]: m for m in BENCHMARK["end_to_end"]}
     values: dict = {}
     passes: dict = {}
     for run in runs:
@@ -121,11 +124,15 @@ def _summary(runs: list[dict]) -> dict:
         entry = _quartiles(list(by_seed.values()))
         base = values.get((workload, "parent", name), {})
         if label == "change" and base:
-            sign = 1.0 if metrics[name] == "lower" else -1.0
+            sign = 1.0 if metrics[name]["better"] == "lower" else -1.0
             diffs = [sign * (base[s] - v) for s, v in by_seed.items() if s in base]
             entry["pairs"] = len(diffs)
             entry["wins"] = sum(d > 0 for d in diffs)
             entry["losses"] = sum(d < 0 for d in diffs)
+            base_median = statistics.median(base.values())
+            if base_median:
+                entry["median_change"] = sign * (entry["median"] - base_median) / base_median
+                entry["within_bound"] = entry["median_change"] <= metrics[name]["bound"]
         summary.setdefault(workload, {}).setdefault(label, {})[name] = entry
     for (workload, label), counts in passes.items():
         summary.setdefault(workload, {}).setdefault(label, {})["passes"] = _quartiles(counts)
