@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .core import (
+    _MAX_SAMPLES,
     BlowUp,
     BranchMismatch,
     ComplexResult,
@@ -43,9 +44,8 @@ from .simulate import convergence_study, run, write_frames
 from .solutions import (
     FIXED_POINT_TAGS,
     _catalog_entry,
-    _unforced_fixed_points,
+    _closed_form_match,
     _wavenumber,
-    closed_form_root_match,
     family_catalog,
     fixed_points,
     nonclassical_k,
@@ -165,15 +165,6 @@ def _cmd_verify(args, cfg: RunConfig, out: Path | None):
         inv_A, inv_B = fam.decay_rate, 0.0
     inv_defect = invariant_surface_check(fam, inv_A, inv_B, grid)
 
-    root_match = None
-    if fam.tag in FIXED_POINT_TAGS:
-        idx = closed_form_root_match(p, fam.tag)
-        roots = _unforced_fixed_points(p)
-        root_match = {
-            "root_index": idx,
-            "roots": [{"u": fp.u, "v": fp.v, "multiplicity": fp.multiplicity} for fp in roots],
-        }
-
     checks = [
         ("system linf_u (analytic)", reports["system_analytic"].linf_u, cfg.tol("analytic")),
         ("system linf_v (analytic)", reports["system_analytic"].linf_v, cfg.tol("analytic")),
@@ -193,8 +184,12 @@ def _cmd_verify(args, cfg: RunConfig, out: Path | None):
             for name, value, tol in checks
         ],
     }
-    if root_match is not None:
-        result["closed_form_root_match"] = root_match
+    if fam.tag in FIXED_POINT_TAGS:
+        _, _, idx, roots = _closed_form_match(p, fam.tag)
+        result["closed_form_root_match"] = {
+            "root_index": idx,
+            "roots": [{"u": fp.u, "v": fp.v, "multiplicity": fp.multiplicity} for fp in roots],
+        }
 
     if out is not None:
         rows = [
@@ -381,6 +376,9 @@ def _cmd_constraints(args, cfg: RunConfig, out: Path | None):
         raise ConfigError(f"ansatz.n must be >= 1, got {s['n']}")
     if s["k_sweep"] < 0:
         raise ConfigError(f"ansatz.k_sweep must be >= 0, got {s['k_sweep']}")
+    if max(s["n"], s["k_sweep"]) > _MAX_SAMPLES:
+        raise ConfigError(f"ansatz.n and ansatz.k_sweep must be <= {_MAX_SAMPLES}, "
+                          f"got {s['n']}, {s['k_sweep']}")
     k_here = nonclassical_k(p)
     A = -p.epsilon * p.beta / 3.0 if s["a"] == "auto" else float(s["a"])
     B = s["b"]
@@ -512,6 +510,9 @@ def main(argv: list[str] | None = None) -> int:
         print(*report, sep="\n")
         sys.stdout.flush()
         return 0 if passed is None or passed else 1
+    except MemoryError as exc:
+        print(f"config error: not enough memory for the configured sizes: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader closed stdout: point fd 1 at devnull so that the flush
         # at exit cannot fail as well

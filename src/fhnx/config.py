@@ -19,10 +19,14 @@ Grammar (INI style, parsed by configparser):
 
 plus [tolerances], [output], [run], [sim], [stability], [ansatz].
 
-Unknown sections or keys are rejected.  Missing keys take the defaults
-below and the fully resolved configuration is echoed back in every report
-header.  CLI overrides use the dotted form ``--param section.key=value``
-and win over file values.
+CLI overrides use the dotted form ``--param section.key=value``.  File
+entries, then overrides, become one list of (section, key, raw) entries;
+one loop rejects unknown keys, coerces and records each as given, so an
+override beats the file.  File sections are case-sensitive (an unknown one
+is an error even when empty); override names are stripped and lowercased.
+Missing keys take the defaults below, and the resolved configuration is
+echoed in every report header.  A family takes only the constants that
+were given; the others take the class defaults, equal to those below.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from pathlib import Path
 
 from .core import ConfigError, Grid, Params
 from .simulate import SimConfig
-from .solutions import SolutionFamily, _catalog_entry, make_family
+from .solutions import SolutionFamily, make_family
 
 __all__ = ["RunConfig", "load_config", "SCHEMA"]
 
@@ -127,39 +131,23 @@ class RunConfig:
         return {sec: dict(kv) for sec, kv in self.values.items()}
 
     def params(self) -> Params:
-        s = self.section("params")
-        return Params(D=s["d"], epsilon=s["epsilon"], beta=s["beta"], c=s["c"])
+        # [params] lists its keys in the order of Params' fields
+        return Params(*self.section("params").values())
 
     def family(self, p: Params | None = None) -> SolutionFamily:
-        """The configured family with the constants its tag takes, plus any
-        family constant that was given, so that ``make_family`` rejects one the
-        tag does not take (and an unknown tag)."""
+        """The configured family with the family constants that were given,
+        so that ``make_family`` rejects one the tag does not take (and an
+        unknown tag) and the others take the class defaults."""
         s = self.section("family")
-        names = set(_catalog_entry(s["tag"])["constant_names"])
-        names |= {key for sec, key in self.given if sec == "family" and key != "tag"}
-        return make_family(
-            s["tag"], p if p is not None else self.params(), **{key: s[key] for key in names}
-        )
+        given = {key: s[key] for sec, key in self.given if sec == "family" and key != "tag"}
+        return make_family(s["tag"], p if p is not None else self.params(), **given)
 
     def grid(self) -> Grid:
-        s = self.section("grid")
-        return Grid(
-            x_min=s["x_min"],
-            x_max=s["x_max"],
-            nx=s["nx"],
-            t_min=s["t_min"],
-            t_max=s["t_max"],
-            nt=s["nt"],
-        )
+        return Grid(**self.section("grid"))
 
     def sim_config(self) -> SimConfig:
         s = self.section("sim")
-        return SimConfig(
-            grid=self.grid(),
-            scheme=s["scheme"],
-            bc=s["bc"],
-            cfl_safety=s["cfl_safety"],
-        )
+        return SimConfig(self.grid(), **{key: s[key] for key in s if key != "refinements"})
 
     def seed(self) -> int:
         seed = self.section("run")["seed"]
@@ -180,15 +168,9 @@ class RunConfig:
         return self.section("output")["dir"]
 
 
-def _defaults() -> dict:
-    return {sec: {k: v for k, (_, v) in kv.items()} for sec, kv in SCHEMA.items()}
-
-
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Read the config file (optional) and apply --param overrides."""
-    values = _defaults()
-    given = set()
-
+    entries = []
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -200,24 +182,18 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         for sec in parser.sections():
             if sec not in SCHEMA:
                 raise ConfigError(f"unknown config section [{sec}]")
-            for key, raw in parser.items(sec):
-                if key not in SCHEMA[sec]:
-                    raise ConfigError(f"unknown config key {sec}.{key}")
-                values[sec][key] = _coerce(sec, key, raw)
-                given.add((sec, key))
-
+            entries += [(sec, key, raw) for key, raw in parser.items(sec)]
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         dotted, raw = item.split("=", 1)
         if "." not in dotted:
             raise ConfigError(f"override key must be dotted section.key: {dotted!r}")
-        sec, key = dotted.split(".", 1)
-        sec = sec.strip().lower()
-        key = key.strip().lower()
-        if sec not in SCHEMA or key not in SCHEMA[sec]:
-            raise ConfigError(f"unknown override {sec}.{key}")
-        values[sec][key] = _coerce(sec, key, raw.strip())
-        given.add((sec, key))
-
-    return RunConfig(values=values, given=frozenset(given))
+        sec, key = (part.strip().lower() for part in dotted.split(".", 1))
+        entries.append((sec, key, raw.strip()))
+    values = {sec: {key: v for key, (_, v) in kv.items()} for sec, kv in SCHEMA.items()}
+    for sec, key, raw in entries:
+        if key not in SCHEMA.get(sec, {}):
+            raise ConfigError(f"unknown config key {sec}.{key}")
+        values[sec][key] = _coerce(sec, key, raw)
+    return RunConfig(values=values, given=frozenset((sec, key) for sec, key, _ in entries))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,10 @@ class Params:
             raise ConfigError(f"forcing c must be finite, got {self.c!r}")
 
 
+# numpy refuses an array of more float64 samples ("array is too big")
+_MAX_SAMPLES = sys.maxsize // 8
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform space-time sampling.
@@ -160,6 +165,8 @@ class Grid:
             raise ConfigError(f"nx must be >= 3, got {self.nx}")
         if self.nt < 1:
             raise ConfigError(f"nt must be >= 1, got {self.nt}")
+        if max(self.nx, self.nt) > _MAX_SAMPLES:
+            raise ConfigError(f"nx and nt must be <= {_MAX_SAMPLES}, got {self.nx}, {self.nt}")
         if not self.x_max > self.x_min:
             raise ConfigError("x_max must exceed x_min")
         if self.t_max < self.t_min:

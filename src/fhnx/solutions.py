@@ -235,6 +235,22 @@ _CLOSED_FORMS = {
 FIXED_POINT_TAGS = tuple(_CLOSED_FORMS)
 
 
+def _closed_form_match(p: Params, which: str):
+    """(u, v, unforced oracle root index, roots) of one closed form, as
+    ``eval_fixed_point_closed_form`` checks it; the index and roots are None,
+    and the cubic is not solved, when u is not effectively real."""
+    if which not in _CLOSED_FORMS:
+        raise FhnxError(f"unknown fixed-point tag {which!r}")
+    u, v = _CLOSED_FORMS[which](p)
+    if not is_effectively_real(u):
+        return u, v, None, None
+    roots = _unforced_fixed_points(p)
+    for idx, fp in enumerate(roots):
+        if abs(u.real - fp.u) <= 1e-9 * max(1.0, abs(fp.u)):
+            return u, v, idx, roots
+    raise BranchMismatch(f"{which}: effectively-real value {u.real!r} matches no cubic root")
+
+
 def eval_fixed_point_closed_form(p: Params, which: str) -> tuple[complex, complex]:
     """Evaluate one radical fixed-point formula literally (principal branches).
 
@@ -243,31 +259,13 @@ def eval_fixed_point_closed_form(p: Params, which: str) -> tuple[complex, comple
     genuine imaginary part (e.g. the Plus amplitude below beta = 1) are
     returned as-is.
     """
-    if which not in _CLOSED_FORMS:
-        raise FhnxError(f"unknown fixed-point tag {which!r}")
-    u, v = _CLOSED_FORMS[which](p)
-    if is_effectively_real(u):
-        if _match_root(u.real, _unforced_fixed_points(p)) is None:
-            raise BranchMismatch(
-                f"{which}: effectively-real value {u.real!r} matches no cubic root"
-            )
-    return u, v
-
-
-def _match_root(value: float, roots: list[FixedPoint], tol: float = 1e-9):
-    for idx, fp in enumerate(roots):
-        if abs(value - fp.u) <= tol * max(1.0, abs(fp.u)):
-            return idx
-    return None
+    return _closed_form_match(p, which)[:2]
 
 
 def closed_form_root_match(p: Params, which: str) -> int | None:
     """Index of the unforced oracle root a closed form lands on (None if
     complex)."""
-    u, _ = eval_fixed_point_closed_form(p, which)
-    if not is_effectively_real(u):
-        return None
-    return _match_root(u.real, _unforced_fixed_points(p))
+    return _closed_form_match(p, which)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +440,10 @@ class FixedPointState(SolutionFamily):
 
 
 def _fixed_point_family(p: Params, tag: str) -> FixedPointState:
-    idx = closed_form_root_match(p, tag)
+    _, _, idx, roots = _closed_form_match(p, tag)
     if idx is None:
         raise OutOfDomain(f"{tag}: closed form is not effectively real")
-    fp = _unforced_fixed_points(p)[idx]
+    fp = roots[idx]
     return FixedPointState(params=p, tag=tag, u_star=fp.u, v_star=fp.v)
 
 
@@ -512,8 +510,8 @@ class JacobiSnSteady(SolutionFamily):
     """
 
     params: Params
-    c1: float = 0.0
-    c2: float = 0.0
+    c1: float = 1.0
+    c2: float = 1.0
     tag: str = "JacobiSnSteady"
     steady: bool = True
     notes: tuple[str, ...] = (

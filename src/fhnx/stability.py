@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, OutOfDomain, Params, g_prime
+from .core import _MAX_SAMPLES, ConfigError, OutOfDomain, Params, g_prime
 
 __all__ = [
     "jacobian_at",
@@ -122,6 +122,8 @@ def dispersion_sweep(p: Params, u_star: float, k_max: float, n: int) -> Dispersi
         raise ConfigError(f"k_max must be > 0, got {k_max!r}")
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got n={n!r}")
+    if n > _MAX_SAMPLES:
+        raise ConfigError(f"need at most {_MAX_SAMPLES} samples, got n={n!r}")
     ks = np.linspace(0.0, k_max, int(n))
     sigma = np.stack(eig_closed_form(jacobian_at(p, u_star, ks)), axis=-1)
     if not np.all(np.isfinite(sigma)):

@@ -14,6 +14,7 @@ _SPEC.loader.exec_module(bench_record)
 def _run(label, seed, wall_s, peak_rss_mb, passes=3):
     return {
         "label": label, "workload": "exact-check", "seed": seed, "trace": 0,
+        "src_lines": {"parent": 2800, "change": 2784}[label],
         "result": {"failed": 0, "metrics": {"wall_s": {"value": wall_s},
                                             "peak_rss_mb": {"value": peak_rss_mb}}},
         "detail": {"detail": {"ops": {"verify": {"wall_s": {"n": passes}}}}},
@@ -42,6 +43,7 @@ def test_change_metrics_carry_median_change_and_bound_check():
     assert "median_change" not in summary["parent"]["wall_s"]
     assert summary["change"]["failed_operations"] == 0
     assert summary["parent"]["passes"]["median"] == 3
+    assert (summary["parent"]["src_lines"], summary["change"]["src_lines"]) == (2800, 2784)
 
 
 def test_median_change_is_negative_when_a_higher_is_better_metric_rises(monkeypatch):

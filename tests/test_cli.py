@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 
 from fhnx.cli import CSV_BLOCK_ROWS, _write_csv, main
+from fhnx.config import SCHEMA as CONFIG_SCHEMA
 from fhnx.config import load_config
 from fhnx.core import ConfigError
+from fhnx.simulate import SimConfig
 from fhnx.solutions import FAMILY_TAGS, make_family
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "cli-output.schema.json"
@@ -41,6 +44,23 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+# --param entries that the loader accepts (None) or rejects with a message
+# matching the pattern, whether they come from a file or from overrides
+LOADER_CASES = [
+    (["params.beta=3.0", "grid.nx=51", "sim.scheme=semi-implicit"], None),
+    (["family.tag=JacobiSnSteady", "family.c2=0.5", "params.beta=2.5"], None),
+    (["stability.u_star=auto", "ansatz.a=-0.25"], None),
+    (["nosuch.x=1"], "unknown config"),
+    (["params.gamma=1"], "unknown config key params.gamma"),
+    (["params.nope=1"], "unknown config key params.nope"),
+    (["grid.nx=a lot"], "bad value for grid.nx"),
+    (["stability.u_star=origin"], "bad value for stability.u_star"),
+    *(([f"{key}={raw}"], f"{key} must be finite")
+      for key in ["family.x0", "stability.u_star", "ansatz.a"]
+      for raw in ["nan", "inf", "-inf", "1e999"]),
+]
+
+
 class TestConfig:
     def test_defaults_are_benchmark_parameters(self):
         cfg = load_config()
@@ -58,29 +78,12 @@ class TestConfig:
         assert cfg.section("grid")["nt"] == 101  # default echoed back
         assert cfg.resolved()["grid"]["nt"] == 101
 
-    def test_unknown_section_and_key_rejected(self, tmp_path):
-        bad1 = tmp_path / "bad1.cfg"
-        bad1.write_text("[nosuch]\nx = 1\n")
-        with pytest.raises(ConfigError):
-            load_config(bad1)
-        bad2 = tmp_path / "bad2.cfg"
-        bad2.write_text("[params]\ngamma = 1\n")
-        with pytest.raises(ConfigError):
-            load_config(bad2)
-
     def test_bad_values_rejected(self):
-        with pytest.raises(ConfigError):
-            load_config(None, ["grid.nx=a lot"])
-        with pytest.raises(ConfigError):
+        # override syntax alone; LOADER_CASES holds the bad keys and values
+        with pytest.raises(ConfigError, match="override must look like section.key=value"):
             load_config(None, ["no-dots"])
-        with pytest.raises(ConfigError):
-            load_config(None, ["params.nope=1"])
-
-    @pytest.mark.parametrize("key", ["family.x0", "stability.u_star", "ansatz.a"])
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
-    def test_non_finite_number_rejected(self, key, raw):
-        with pytest.raises(ConfigError, match="must be finite"):
-            load_config(None, [f"{key}={raw}"])
+        with pytest.raises(ConfigError, match="override key must be dotted section.key"):
+            load_config(None, ["params=1"])
 
     def test_auto_keys_take_auto_or_a_number(self):
         cfg = load_config(None, ["stability.u_star=auto", "ansatz.a=-0.25"])
@@ -88,6 +91,36 @@ class TestConfig:
         assert cfg.section("ansatz")["a"] == "-0.25"  # echoed as given
         with pytest.raises(ConfigError, match="bad value for stability.u_star"):
             load_config(None, ["stability.u_star=origin"])
+
+    @pytest.mark.parametrize("entries,error", LOADER_CASES,
+                             ids=[" ".join(case[0]) for case in LOADER_CASES])
+    def test_file_and_override_entries_are_equivalent(self, tmp_path, entries, error):
+        sections: dict = {}
+        for entry in entries:
+            dotted, raw = entry.split("=", 1)
+            sec, key = dotted.split(".", 1)
+            sections.setdefault(sec, []).append(f"{key} = {raw}\n")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"[{sec}]\n" + "".join(lines)
+                                    for sec, lines in sections.items()))
+        if error is None:
+            from_file, from_params = load_config(cfg_file), load_config(None, entries)
+            assert from_file.values == from_params.values
+            assert from_file.given == from_params.given
+        else:
+            for args in ((cfg_file,), (None, entries)):
+                with pytest.raises(ConfigError, match=error):
+                    load_config(*args)
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_family_defaults_match_the_factory(self, tag):
+        p = load_config().params()
+        assert make_family(tag, p) == load_config(None, [f"family.tag={tag}"]).family(p)
+
+    def test_sim_defaults_match_sim_config(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+        for key in ("scheme", "bc", "cfl_safety"):
+            assert CONFIG_SCHEMA["sim"][key][1] == defaults[key]
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
@@ -608,6 +641,26 @@ TYPED_FAILURES = [
     (["verify", "--param", "family.tag=FixedPointCardanoB", "--param", "params.beta=1e300"], 3,
      "domain error: Cardano B radicand overflows float64 at beta = 1e+300"),
     (["constraints", "--param", "run.seed=-1"], 2, "config error: run.seed must be >= 0, got -1"),
+    # sizes: numpy cannot allocate 10**17 float64 samples; above sys.maxsize // 8
+    # it would refuse the array as "too big", so the config refuses it first
+    *((argv, 2, "config error: not enough memory for the configured sizes: Unable to allocate")
+      for argv in (["verify", "--param", f"grid.nx={10**17}"],
+                   ["verify", "--param", f"grid.nt={10**17}"],
+                   ["stability", "--param", f"stability.n={10**17}"],
+                   ["constraints", "--param", f"ansatz.n={10**17}"],
+                   ["constraints", "--param", f"ansatz.k_sweep={10**17}"])),
+    (["verify", "--param", f"grid.nx={4 * 10**18}"], 2,
+     f"config error: nx and nt must be <= {sys.maxsize // 8}, got {4 * 10**18}, 101"),
+    (["verify", "--param", f"grid.nt={4 * 10**18}"], 2,
+     f"config error: nx and nt must be <= {sys.maxsize // 8}, got 201, {4 * 10**18}"),
+    (["stability", "--param", f"stability.n={4 * 10**18}"], 2,
+     f"config error: need at most {sys.maxsize // 8} samples, got n={4 * 10**18}"),
+    (["constraints", "--param", f"ansatz.n={4 * 10**18}"], 2,
+     f"config error: ansatz.n and ansatz.k_sweep must be <= {sys.maxsize // 8}, "
+     f"got {4 * 10**18}, 1000"),
+    (["constraints", "--param", f"ansatz.k_sweep={4 * 10**18}"], 2,
+     f"config error: ansatz.n and ansatz.k_sweep must be <= {sys.maxsize // 8}, "
+     f"got 201, {4 * 10**18}"),
 ]
 
 

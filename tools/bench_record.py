@@ -22,7 +22,9 @@ median, signed so that > 0 is worse) and ``within_bound`` (whether that is
 at most the metric's ``bound`` in ``BENCHMARK.json``); per
 workload and label it also holds the quartiles of the untraced runs' pass
 counts (``passes``: the ``n`` of a run's operations), against which
-``peak_rss_mb`` is read, since the worker keeps every pass's records.
+``peak_rss_mb`` is read, since the worker keeps every pass's records, and
+the tree's ``src_lines`` (from its last run), so that the file shows the
+line change of the source as well.
 """
 from __future__ import annotations
 
@@ -137,10 +139,11 @@ def _summary(runs: list[dict]) -> dict:
     for (workload, label), counts in passes.items():
         summary.setdefault(workload, {}).setdefault(label, {})["passes"] = _quartiles(counts)
     for run in runs:
+        entry = summary.setdefault(run["workload"], {}).setdefault(run["label"], {})
+        if "src_lines" in run:
+            entry["src_lines"] = run["src_lines"]
         if "result" in run:
-            failed = run["result"]["failed"]
-            entry = summary.setdefault(run["workload"], {}).setdefault(run["label"], {})
-            entry["failed_operations"] = entry.get("failed_operations", 0) + failed
+            entry["failed_operations"] = entry.get("failed_operations", 0) + run["result"]["failed"]
     return summary
 
 
