@@ -44,7 +44,6 @@ from .simulate import convergence_study, run, write_frames
 from .solutions import (
     FIXED_POINT_TAGS,
     _catalog_entry,
-    _closed_form_match,
     _wavenumber,
     family_catalog,
     fixed_points,
@@ -159,10 +158,7 @@ def _cmd_verify(args, cfg: RunConfig, out: Path | None):
         "system_fd": residual_system(fam, p, grid, "finite-difference"),
         "third_order_analytic": residual_third_order(fam, p, grid, "analytic"),
     }
-    if fam.steady:
-        inv_A, inv_B = 0.0, 0.0
-    else:
-        inv_A, inv_B = fam.decay_rate, 0.0
+    inv_A, inv_B = 0.0 if fam.steady else fam.decay_rate, 0.0
     inv_defect = invariant_surface_check(fam, inv_A, inv_B, grid)
 
     checks = [
@@ -185,10 +181,9 @@ def _cmd_verify(args, cfg: RunConfig, out: Path | None):
         ],
     }
     if fam.tag in FIXED_POINT_TAGS:
-        _, _, idx, roots = _closed_form_match(p, fam.tag)
         result["closed_form_root_match"] = {
-            "root_index": idx,
-            "roots": [{"u": fp.u, "v": fp.v, "multiplicity": fp.multiplicity} for fp in roots],
+            "root_index": fam.root_index,
+            "roots": [fp._asdict() for fp in fam.roots],
         }
 
     if out is not None:

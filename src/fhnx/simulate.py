@@ -326,9 +326,7 @@ def write_frames(path, ts, xs, us, vs) -> None:
         fh.write(struct.pack("<II", len(xs), len(ts)))
         fh.write(xs.tobytes())
         for i in range(len(ts)):
-            fh.write(struct.pack("<d", float(ts[i])))
-            fh.write(us[i].astype("<f8").tobytes())
-            fh.write(vs[i].astype("<f8").tobytes())
+            fh.write(ts[i:i + 1].tobytes() + us[i].tobytes() + vs[i].tobytes())
 
 
 def read_frames(path):

@@ -175,12 +175,6 @@ def fixed_points(p: Params) -> list[FixedPoint]:
     return [FixedPoint(u, (u + p.c) / p.beta, m) for u, m in zip(roots, mults)]
 
 
-def _unforced_fixed_points(p: Params) -> list[FixedPoint]:
-    """The fixed points at c = 0: the catalog's fixed-point families are
-    states of the unforced model, whatever c the run uses."""
-    return fixed_points(replace(p, c=0.0))
-
-
 # ---------------------------------------------------------------------------
 # Radical closed forms for the fixed points (formulas under test)
 # ---------------------------------------------------------------------------
@@ -244,7 +238,8 @@ def _closed_form_match(p: Params, which: str):
     u, v = _CLOSED_FORMS[which](p)
     if not is_effectively_real(u):
         return u, v, None, None
-    roots = _unforced_fixed_points(p)
+    # the catalog's fixed points are states of the unforced model, whatever c the run uses
+    roots = tuple(fixed_points(replace(p, c=0.0)))
     for idx, fp in enumerate(roots):
         if abs(u.real - fp.u) <= 1e-9 * max(1.0, abs(fp.u)):
             return u, v, idx, roots
@@ -421,12 +416,16 @@ def _on_grid(t, x, *factors):
 
 @dataclass(frozen=True, kw_only=True)
 class FixedPointState(SolutionFamily):
-    """Spatially constant steady state bound to an oracle cubic root."""
+    """Spatially constant steady state bound to an oracle cubic root.  A
+    catalog state keeps the match it was built from: ``roots``, the unforced
+    fixed points, and ``root_index``, the one its closed form lands on."""
 
     params: Params
     tag: str
     u_star: float
     v_star: float
+    root_index: int | None = None
+    roots: tuple[FixedPoint, ...] = ()
     steady: bool = True
 
     def eval(self, t, x):
@@ -444,7 +443,7 @@ def _fixed_point_family(p: Params, tag: str) -> FixedPointState:
     if idx is None:
         raise OutOfDomain(f"{tag}: closed form is not effectively real")
     fp = roots[idx]
-    return FixedPointState(params=p, tag=tag, u_star=fp.u, v_star=fp.v)
+    return FixedPointState(params=p, tag=tag, u_star=fp.u, v_star=fp.v, root_index=idx, roots=roots)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -26,9 +26,12 @@ so each transcendental factor is computed once per axis.  A steady family
 point is the full mesh's first maximum, which lies in row 0, and l2 sums
 the squares broadcast to a contiguous (nt, nx) array, in the full mesh's
 order.  The stencils are accumulated as each shift is evaluated, so the
-shifted samples are never all held at once.  Evaluation runs with
-floating-point overflow silenced; a residual that is not finite raises
-OutOfDomain at the first such grid point instead.
+shifted samples are never all held at once.
+
+A report takes |r_u| and |r_v| once and reads linf, the worst point and
+finiteness from them: their elementwise maximum is not finite exactly where
+either residual is.  Evaluation runs with floating-point overflow silenced;
+a non-finite residual raises OutOfDomain at its first (t, x) in C order.
 """
 
 from __future__ import annotations
@@ -115,26 +118,27 @@ def _open_grid(grid: Grid, steady: bool):
     return ts, xs, ts[:1, None] if steady else ts[:, None], xs[None, :]
 
 
-def _require_finite(ts, xs, *residuals: np.ndarray) -> None:
-    """Raise OutOfDomain at the first (t, x) where a residual is not finite."""
-    bad = ~np.logical_and.reduce([np.isfinite(r) for r in residuals])
-    if bad.any():
-        it, ix = np.unravel_index(int(np.argmax(bad)), bad.shape)
+def _first_max(ts, xs, mag: np.ndarray) -> tuple[int, int]:
+    """Grid indices of the first maximum of ``mag`` (one row or all); raise
+    OutOfDomain at the first (t, x), in C order, where it is not finite."""
+    it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    if not np.isfinite(mag[it, ix]):  # argmax finds a nan or inf if there is one
+        it, ix = np.unravel_index(int(np.argmax(~np.isfinite(mag))), mag.shape)
         raise OutOfDomain(
             f"residual is not finite at (t, x) = ({ts[it]:.6g}, {xs[ix]:.6g}): "
             "the family's values overflow float64 there"
         )
+    return it, ix
 
 
-def _norms(r: np.ndarray, shape: tuple[int, int]) -> tuple[float, float]:
-    """linf and l2 of r over the grid of ``shape``, which r (one row or all)
-    broadcasts to; the squares are summed as one contiguous array of that
-    shape, so l2 does not depend on how many rows were evaluated."""
+def _norms(r, mag, shape: tuple[int, int]) -> tuple[float, float]:
+    """linf (from mag = |r|) and l2 of r over the grid of ``shape``, which r
+    (one row or all) broadcasts to, summing the squares at that shape."""
 
     def sum_sq(a):
         return float(np.sqrt(np.sum(np.ascontiguousarray(np.broadcast_to(a * a, shape)))))
 
-    linf = float(np.max(np.abs(r)))
+    linf = float(np.max(mag))
     l2 = sum_sq(r)
     if not np.isfinite(l2):
         # the squares overflow: sum them scaled by linf instead
@@ -143,24 +147,15 @@ def _norms(r: np.ndarray, shape: tuple[int, int]) -> tuple[float, float]:
 
 
 def _report(ts, xs, r_u, r_v, method: str, notes: tuple[str, ...]) -> ResidualReport:
-    """Norms of a residual pair over the (ts, xs) grid and the grid point of
-    the largest value; the residuals may hold one row of a steady family."""
-    _require_finite(ts, xs, r_u, r_v)
+    """Norms and worst grid point of a residual pair over (ts, xs); r_v is
+    None for a single equation, whose v norms are zero."""
     shape = (ts.size, xs.size)
-    linf_u, l2_u = _norms(r_u, shape)
-    linf_v, l2_v = _norms(r_v, shape)
-    mag = np.maximum(np.abs(r_u), np.abs(r_v))
-    it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    return ResidualReport(
-        linf_u=linf_u,
-        l2_u=l2_u,
-        linf_v=linf_v,
-        l2_v=l2_v,
-        worst_point=(float(ts[it]), float(xs[ix])),
-        method=method,
-        sample_count=ts.size * xs.size,
-        notes=notes,
-    )
+    abs_u = np.abs(r_u)
+    abs_v = None if r_v is None else np.abs(r_v)
+    it, ix = _first_max(ts, xs, abs_u if r_v is None else np.maximum(abs_u, abs_v))
+    norms_v = (0.0, 0.0) if r_v is None else _norms(r_v, abs_v, shape)
+    return ResidualReport(*_norms(r_u, abs_u, shape), *norms_v, (float(ts[it]), float(xs[ix])),
+                          method, ts.size * xs.size, notes)
 
 
 def _stencil(samples, h: float, *diffs):
@@ -241,7 +236,7 @@ def residual_third_order(
         )
     r = _third_order_expr(p, u, u_t, u_xx, u_tt, u_txx)
     notes = fam.notes + ("single third-order equation in u; v slots unused",)
-    return _report(ts, xs, r, np.zeros_like(r), method, notes)
+    return _report(ts, xs, r, None, method, notes)
 
 
 def _third_order_expr(p: Params, u, u_t, u_xx, u_tt, u_txx):
@@ -336,6 +331,5 @@ def invariant_surface_check(
     ts, xs, T, X = _open_grid(grid, fam.steady)
     u, _ = fam.eval(T, X)
     u_t, _, _, _ = fam.eval_derivs(T, X)
-    defect = u_t - (A * u + B)
-    _require_finite(ts, xs, defect)
-    return float(np.max(np.abs(defect)))
+    defect = np.abs(u_t - (A * u + B))
+    return float(defect[_first_max(ts, xs, defect)])

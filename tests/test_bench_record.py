@@ -36,14 +36,28 @@ def test_change_metrics_carry_median_change_and_bound_check():
     assert wall["median_change"] == pytest.approx(0.2)
     assert wall["within_bound"] is True
     assert (wall["pairs"], wall["wins"], wall["losses"]) == (2, 0, 2)
+    # the parent's quartiles 0.95 and 1.25 spread 27% of its median, over the bound
+    assert wall["unresolved"] is True
     rss = summary["change"]["peak_rss_mb"]
     # 6% worse against the bound 0.05
     assert rss["median_change"] == pytest.approx(0.06)
     assert rss["within_bound"] is False
+    # the parent's runs do not spread, so the 6% is resolved
+    assert rss["unresolved"] is False
     assert "median_change" not in summary["parent"]["wall_s"]
     assert summary["change"]["failed_operations"] == 0
     assert summary["parent"]["passes"]["median"] == 3
     assert (summary["parent"]["src_lines"], summary["change"]["src_lines"]) == (2800, 2784)
+
+
+def test_a_wide_spread_is_resolved_when_every_change_run_beats_every_parent_run():
+    runs = [_run("parent", 1, 1.0, 100.0), _run("parent", 2, 1.2, 100.0),
+            _run("change", 1, 0.9, 100.0), _run("change", 2, 0.99, 100.0)]
+    wall = bench_record._summary(runs)["exact-check"]["change"]["wall_s"]
+    assert wall["unresolved"] is False
+    runs[3] = _run("change", 2, 1.01, 100.0)
+    wall = bench_record._summary(runs)["exact-check"]["change"]["wall_s"]
+    assert wall["unresolved"] is True
 
 
 def test_median_change_is_negative_when_a_higher_is_better_metric_rises(monkeypatch):

@@ -3,6 +3,7 @@ the benchmark's outside-in tracer (perfbench/tracing.py) wraps exist where
 it looks for them."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -49,6 +50,35 @@ def test_cli_entry_points_are_module_attributes():
 
     for name in CLI_ENTRY_POINTS:
         assert callable(getattr(cli, name)), name
+
+
+def test_verify_calls_each_traced_check_once(monkeypatch, capsys):
+    # the tracer's verify.* metrics are spans around these calls, keyed by method
+    import fhnx.cli as cli
+
+    calls = []
+
+    def recording(name, fn):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((name, bound.arguments.get("method")))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("residual_system", "residual_third_order", "invariant_surface_check"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    assert cli.main(["verify", "--param", "grid.nx=21", "--param", "grid.nt=9"]) == 0
+    capsys.readouterr()
+    assert sorted(calls, key=str) == [
+        ("invariant_surface_check", None),
+        ("residual_system", "analytic"),
+        ("residual_system", "finite-difference"),
+        ("residual_third_order", "analytic"),
+    ]
 
 
 def test_families_define_their_own_eval_methods():

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import re
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -8,8 +10,14 @@ import pytest
 
 from fhnx import solutions
 from fhnx.cli import main
-from fhnx.core import FhnxError, Grid, Params, SingularParameter
-from fhnx.solutions import FAMILY_TAGS, SolutionFamily, make_family, sample_F
+from fhnx.core import FhnxError, Grid, OutOfDomain, Params, SingularParameter
+from fhnx.solutions import (
+    FAMILY_TAGS,
+    FIXED_POINT_TAGS,
+    SolutionFamily,
+    make_family,
+    sample_F,
+)
 from fhnx.verify import (
     ResidualReport,
     check_ansatz_constraints,
@@ -297,6 +305,80 @@ class TestSteadyRow:
             # system 2 analytic + 9 shifts, third order 3, invariant surface 2
             assert len(counts) == 16, tag
             assert set(counts) == ({1} if tag in STEADY_TAGS else {9}), tag
+
+
+def test_fixed_point_verify_solves_the_cubic_once(monkeypatch):
+    # the family keeps the roots it was matched to; the report reads them
+    solves = []
+    solve = solutions.solve_depressed_cubic
+
+    def counting(p, q):
+        solves.append((p, q))
+        return solve(p, q)
+
+    monkeypatch.setattr(solutions, "solve_depressed_cubic", counting)
+    for tag in FIXED_POINT_TAGS:
+        solves.clear()
+        argv = ["verify", "--json", "--param", f"family.tag={tag}", "--param", "grid.nx=21",
+                "--param", "grid.nt=9"]
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert len(solves) == 1, tag
+        match = json.loads(out.getvalue())["result"]["closed_form_root_match"]
+        # the default params are FIG1, where c = 0
+        assert match == {"root_index": solutions.closed_form_root_match(FIG1, tag),
+                         "roots": [fp._asdict() for fp in solutions.fixed_points(FIG1)]}
+
+
+class _Table(SolutionFamily):
+    """A time-dependent family that returns fixed (nt, nx) arrays, zero
+    except at the entries given as ``field=((it, ix, value), ...)``."""
+
+    FIELDS = ("u", "v", "u_t", "u_x", "u_xx", "v_t")
+
+    def __init__(self, shape, **entries):
+        self.fields = {name: np.zeros(shape) for name in self.FIELDS}
+        for name, points in entries.items():
+            for it, ix, value in points:
+                self.fields[name][it, ix] = value
+
+    def eval(self, t, x):
+        return self.fields["u"].copy(), self.fields["v"].copy()
+
+    def eval_derivs(self, t, x):
+        return tuple(self.fields[name].copy() for name in self.FIELDS[2:])
+
+
+class TestNonFiniteResidual:
+    """OutOfDomain names the first non-finite (t, x) in C order, whichever
+    equation's residual it is in."""
+
+    GRID = Grid(x_min=0.0, x_max=10.0, nx=11, t_min=0.0, t_max=5.0, nt=6)
+    SHAPE = (6, 11)
+
+    @pytest.mark.parametrize("entries, where", [
+        # v_t overflows: only r_v is not finite there
+        ({"v_t": ((3, 5, np.inf),)}, "(3, 5)"),
+        # v overflows while u stays finite
+        ({"v": ((2, 7, np.inf),)}, "(2, 7)"),
+        # an earlier inf in r_u comes before a later nan in r_v
+        ({"u_t": ((1, 2, np.inf),), "v_t": ((4, 7, np.nan),)}, "(1, 2)"),
+        # and an earlier nan in r_v before a later inf in r_u
+        ({"u_t": ((4, 7, np.inf),), "v_t": ((1, 2, np.nan),)}, "(1, 2)"),
+        # within one row, an inf in r_u left of a nan in r_v
+        ({"u_t": ((2, 3, -np.inf),), "v_t": ((2, 8, np.nan),)}, "(2, 3)"),
+    ], ids=["v_t", "v", "u-inf-then-v-nan", "v-nan-then-u-inf", "same-row"])
+    def test_system_raises_at_the_first_non_finite_point(self, entries, where):
+        fam = _Table(self.SHAPE, **entries)
+        u, v = fam.eval(0.0, 0.0)
+        assert np.isfinite(u).all()
+        with pytest.raises(OutOfDomain, match=rf"at \(t, x\) = {re.escape(where)}:"):
+            residual_system(fam, FIG1, self.GRID, "analytic")
+
+    def test_finite_table_reports_its_worst_point(self):
+        fam = _Table(self.SHAPE, u_t=((1, 2, 0.5),), v_t=((4, 7, -2.0),))
+        rep = residual_system(fam, FIG1, self.GRID, "analytic")
+        assert (rep.linf_u, rep.linf_v, rep.worst_point) == (0.5, 2.0, (4.0, 7.0))
 
 
 def _peak_bytes(fn, *args) -> int:

@@ -18,8 +18,11 @@ up to date.  The summary holds, per workload, label and end-to-end metric,
 the median and quartiles of the untraced runs and, for the change, the
 pairs (same workload and seed) it wins and loses against the parent, its
 ``median_change`` (change median minus parent median over the parent
-median, signed so that > 0 is worse) and ``within_bound`` (whether that is
-at most the metric's ``bound`` in ``BENCHMARK.json``); per
+median, signed so that > 0 is worse), ``within_bound`` (whether that is
+at most the metric's ``bound`` in ``BENCHMARK.json``) and ``unresolved``
+(the parent's own spread, (q3 - q1) over its median, exceeds that bound
+and not every change run beats every parent run: the runs cannot tell the
+two sides apart within the bound); per
 workload and label it also holds the quartiles of the untraced runs' pass
 counts (``passes``: the ``n`` of a run's operations), against which
 ``peak_rss_mb`` is read, since the worker keeps every pass's records, and
@@ -133,8 +136,13 @@ def _summary(runs: list[dict]) -> dict:
             entry["losses"] = sum(d < 0 for d in diffs)
             base_median = statistics.median(base.values())
             if base_median:
+                bound = metrics[name]["bound"]
                 entry["median_change"] = sign * (entry["median"] - base_median) / base_median
-                entry["within_bound"] = entry["median_change"] <= metrics[name]["bound"]
+                entry["within_bound"] = entry["median_change"] <= bound
+                base_q = _quartiles(list(base.values()))
+                beats_all = all(sign * (b - v) > 0 for b in base.values() for v in by_seed.values())
+                entry["unresolved"] = ((base_q["q3"] - base_q["q1"]) / base_median > bound
+                                       and not beats_all)
         summary.setdefault(workload, {}).setdefault(label, {})[name] = entry
     for (workload, label), counts in passes.items():
         summary.setdefault(workload, {}).setdefault(label, {})["passes"] = _quartiles(counts)
