@@ -8,27 +8,33 @@ time integrators:
   dt <= cfl_safety * dx**2 / (2 D), checked up front.
 * ``semi-implicit``: diffusion implicit (backward Euler on D u_xx),
   reaction explicit, first order in time.  The constant matrix
-  I - r L (r = dt D / dx**2) is diagonalised exactly by Fourier modes, so
-  each step is one real FFT pair and a division by the eigenvalues
-  1 + 4 r sin**2(pi k / n) (Press et al., Numerical Recipes, 3rd ed.,
-  section 20.4).
+  I - r L (r = dt D / dx**2) is diagonalised exactly by Fourier modes of
+  a length n, with eigenvalues 1 + 4 r sin**2(pi k / n) (Press et al.,
+  Numerical Recipes, 3rd ed., section 20.4).  When n has no prime factor
+  above 11, each step is one real FFT pair and a division by the
+  eigenvalues.  At any other n numpy's pocketfft takes a slow generic
+  pass or falls back to Bluestein's algorithm, so the step is instead one
+  circular convolution with the first column of the inverse, zero-padded
+  to a length m >= 2n - 1 that has no prime factor above 11 and folded
+  back to n.
 
 Boundary handling:
 
 * ``dirichlet-from-family``: boundary nodes of u and v are prescribed from
   the attached exact family at the stage/step time t_n + (0, dt/2, dt).
   These boundary traces are evaluated once per run, one vectorized family
-  call per stage offset.  The stepper writes them in one place: into each
-  rk4 stage state before its right-hand side, and into the new state of
-  every step.  The rates computed at the ends are overwritten unused, so
-  the right-hand side uses the wrapped end stencil under both conditions.
-  The exact solutions are unbounded-domain objects, so this removes
-  boundary-induced error and the interior comparison isolates scheme
-  error.  The semi-implicit interior system (prescribed ends moved to the
-  right-hand side) is solved by a DST-I, taken as the FFT of its odd
-  extension of length 2 (nx - 1).
+  call per stage offset the scheme reads (rk4 three, semi-implicit one).
+  The stepper writes them in one place: into each rk4 stage state before
+  its right-hand side, and into the new state of every step.  The rates
+  computed at the ends are overwritten unused, so the right-hand side
+  uses the wrapped end stencil under both conditions.  The exact
+  solutions are unbounded-domain objects, so this removes boundary-induced
+  error and the interior comparison isolates scheme error.  The
+  semi-implicit interior system (prescribed ends moved to the
+  right-hand side) is solved as a DST-I: the circulant solve of its odd
+  extension, n = 2 (nx - 1).
 * ``periodic``: wrapped Laplacian, no prescribed nodes; the semi-implicit
-  matrix is circulant and is solved by an rfft of length nx.
+  matrix is circulant of length n = nx.
 
 No boundary condition is canonical for this model; both choices here are
 artifact decisions and reports label them as such.
@@ -74,8 +80,9 @@ __all__ = [
 SCHEMES = ("rk4", "semi-implicit")
 BCS = ("dirichlet-from-family", "periodic")
 BLOWUP_BOUND = 1e6
-# samples of the exact family per call in the error pass
-ERROR_BLOCK = 1024
+# samples of the exact family per call in the error pass: about 128 KB per
+# array, ten 1,601-sample rows
+ERROR_BLOCK = 16384
 FRAME_MAGIC = b"FHN1"
 
 
@@ -110,9 +117,23 @@ class SimConfig:
             )
 
 
+def _fast_len(n: int) -> int:
+    """The least length >= n with no prime factor above 11: pocketfft's
+    good size, the length its Bluestein fallback pads to."""
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 class _Stepper:
     """Bound integrator: parameters, config, boundary traces and the
-    eigenvalues of the semi-implicit matrix; no step calls the family."""
+    eigenvalues of the semi-implicit matrix (with its padded inverse at a
+    slow length); no step calls the family."""
 
     def __init__(self, p: Params, cfg: SimConfig, family: SolutionFamily):
         cfg.check_cfl(p)
@@ -124,18 +145,22 @@ class _Stepper:
         self.r = self.dt * p.D / self.dx**2
         self._traces = None
         if cfg.bc == "dirichlet-from-family":
-            # t_n + offset, not ts[n + 1]: the stage times of the step lattice
+            # stage s sits at t_n + s dt/2, not ts[n + 1]: the step lattice;
+            # semi-implicit reads only the step's end, stage 2
             t_n = grid.ts()[:-1, None]
             ends = grid.xs()[[0, -1]]
-            self._traces = [
-                family.eval(t_n + off, ends) for off in (0.0, self.dt / 2, self.dt)
-            ]
+            stages = (0, 1, 2) if cfg.scheme == "rk4" else (2,)
+            self._traces = {s: family.eval(t_n + s * self.dt / 2, ends) for s in stages}
         if cfg.scheme == "semi-implicit":
             # I - r L is diagonalised by the DFT of length n: circulant when
             # periodic, the odd extension (a DST-I) of the interior otherwise
             n = grid.nx if cfg.bc == "periodic" else 2 * (grid.nx - 1)
             k = np.arange(n // 2 + 1)
             self._eig = 1.0 + 4.0 * self.r * np.sin(np.pi * k / n) ** 2
+            # the padded length, or 0 where n is fast and one FFT pair solves
+            self._pad = 0 if _fast_len(n) == n else _fast_len(2 * n - 1)
+            if self._pad:
+                self._kernel = np.fft.rfft(np.fft.irfft(1.0 / self._eig, n), self._pad)
 
     def _boundary(self, u: np.ndarray, v: np.ndarray, stage: int, n: int):
         if self._traces is None:
@@ -144,10 +169,21 @@ class _Stepper:
         u[0], u[-1] = bu[n]
         v[0], v[-1] = bv[n]
 
+    def _circ(self, z: np.ndarray) -> np.ndarray:
+        """Solve the circulant system of length n = z.size: one FFT pair at
+        a fast n, otherwise the zero-padded convolution with the inverse's
+        first column, its wrapped tail folded back onto the head."""
+        n, m = z.size, self._pad
+        if not m:
+            return np.fft.irfft(np.fft.rfft(z) / self._eig, n)
+        y = np.fft.irfft(np.fft.rfft(z, m) * self._kernel, m)
+        y[:n - 1] += y[n:2 * n - 1]
+        return y[:n]
+
     def _solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (I - r L) u = b; Dirichlet end rows keep b's values."""
         if self.cfg.bc == "periodic":
-            return np.fft.irfft(np.fft.rfft(b) / self._eig, b.size)
+            return self._circ(b)
         m = b.size - 2
         z = np.zeros(2 * m + 2)
         z[1:m + 1] = b[1:-1]
@@ -155,7 +191,7 @@ class _Stepper:
         z[m] += self.r * b[-1]
         z[m + 2:] = -z[m:0:-1]
         u = b.copy()
-        u[1:-1] = np.fft.irfft(np.fft.rfft(z) / self._eig, z.size)[1:m + 1]
+        u[1:-1] = self._circ(z)[1:m + 1]
         return u
 
     def _rhs(self, stage: int, n: int, u: np.ndarray, v: np.ndarray):

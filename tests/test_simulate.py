@@ -13,6 +13,7 @@ from fhnx.core import (
     Params,
     g,
 )
+from fhnx import simulate
 from fhnx.simulate import (
     ERROR_BLOCK,
     SimConfig,
@@ -226,7 +227,10 @@ class TestConvergence:
 class TestLinearSolvers:
     """One semi-implicit step against a dense solve of (I - r L) u = rhs."""
 
-    NX = (3, 4, 17, 64)  # one interior node, even sizes, a prime periodic size
+    # one interior node, even sizes, then sizes whose circulant length n
+    # (nx periodic, 2 (nx - 1) Dirichlet) has a prime factor above 11 and
+    # takes the padded solve: periodic 17, 97, 106 and Dirichlet 54
+    NX = (3, 4, 17, 64, 54, 97, 106)
 
     @staticmethod
     def step_and_dense_solve(nx, bc):
@@ -258,6 +262,11 @@ class TestLinearSolvers:
             got, want = self.step_and_dense_solve(nx, "periodic")
             np.testing.assert_allclose(got, want, atol=1e-12)
 
+    def test_benchmark_size_periodic_step_matches_dense_solve(self):
+        # nx = 1601 is prime: the padded solve at the benchmark's size
+        got, want = self.step_and_dense_solve(1601, "periodic")
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
 
 class TestBoundaryTraces:
     @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
@@ -277,8 +286,9 @@ class TestBoundaryTraces:
         ue, ve = fam.eval(ts[:-1, None] + grid.dt, xs[ends])
         assert np.all(out.us[1:, ends] == ue)
         assert np.all(out.vs[1:, ends] == ve)
-        # three stage traces, the initial state and one error block
-        assert len(calls) <= 5
+        # the stage traces the scheme reads (rk4 three, semi-implicit one),
+        # the initial state and one error block
+        assert len(calls) <= {"rk4": 5, "semi-implicit": 3}[scheme]
 
     def test_yielded_state_unchanged_by_the_next_step(self):
         fam = make_family("NonClassicalExp", FIG1)
@@ -322,12 +332,18 @@ class TestErrorPass:
 
     @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
-    @pytest.mark.parametrize("nx, t_max", [(41, 0.5), (ERROR_BLOCK + 77, 2e-5)])
-    def test_blocks_match_per_row_formula(self, scheme, bc, nx, t_max):
+    @pytest.mark.parametrize("nx, t_max, block", [
+        (41, 0.5, 1024),  # several blocks, the last one partial
+        (41, 0.05, 32),  # a block narrower than a row: one row per block
+        (101, 0.5, ERROR_BLOCK),  # the module's own block size
+    ])
+    def test_blocks_match_per_row_formula(self, monkeypatch, scheme, bc, nx, t_max, block):
+        monkeypatch.setattr(simulate, "ERROR_BLOCK", block)
         fam = make_family("NonClassicalExp", FIG1)
         grid = cfl_grid(nx, t_max)
+        rows = max(1, block // nx)
         # several blocks, the last one partial, or one row per block
-        assert grid.nt * grid.nx > 3 * ERROR_BLOCK or grid.nx > ERROR_BLOCK
+        assert rows == 1 or (grid.nt > 3 * rows and grid.nt % rows)
         out = run(fam, FIG1, SimConfig(grid=grid, scheme=scheme, bc=bc))
         ref = self.per_row(fam, grid, out)
         assert np.any(ref[1:] > 0.0)
