@@ -32,7 +32,7 @@ from .solutions import (
     make_family,
     nonclassical_k,
 )
-from .specfn import jacobi_cn_dn, jacobi_sn
+from .specfn import jacobi_sn
 from .stability import classify, dispersion_sweep, jacobian_at
 from .verify import (
     ResidualReport,
@@ -70,7 +70,6 @@ __all__ = [
     "fixed_points",
     "make_family",
     "nonclassical_k",
-    "jacobi_cn_dn",
     "jacobi_sn",
     "classify",
     "dispersion_sweep",

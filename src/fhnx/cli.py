@@ -40,7 +40,7 @@ from .core import (
     OutOfDomain,
     SingularParameter,
 )
-from .simulate import convergence_study, run, write_frames
+from .simulate import SCHEMES, convergence_study, run, write_frames
 from .solutions import (
     FIXED_POINT_TAGS,
     _catalog_entry,
@@ -374,7 +374,7 @@ def _cmd_constraints(args, cfg: RunConfig, out: Path | None):
     if max(s["n"], s["k_sweep"]) > _MAX_SAMPLES:
         raise ConfigError(f"ansatz.n and ansatz.k_sweep must be <= {_MAX_SAMPLES}, "
                           f"got {s['n']}, {s['k_sweep']}")
-    k_here = nonclassical_k(p)
+    k_here, k_squared = nonclassical_k(p), nonclassical_k_squared(p)
     A = -p.epsilon * p.beta / 3.0 if s["a"] == "auto" else float(s["a"])
     B = s["b"]
     xs = np.linspace(s["x_min"], s["x_max"], s["n"])
@@ -403,7 +403,7 @@ def _cmd_constraints(args, cfg: RunConfig, out: Path | None):
         "wavenumber": {
             "k_re": k_here.real,
             "k_im": k_here.imag,
-            "k_squared": nonclassical_k_squared(p),
+            "k_squared": k_squared,
             "imaginary": k_here.real == 0.0 and k_here.imag != 0.0,
             "sweep_count": s["k_sweep"],
             "sweep_worst_rel": worst_rel,
@@ -412,7 +412,7 @@ def _cmd_constraints(args, cfg: RunConfig, out: Path | None):
     lines = [
         f"A = {A:.17g}, B = {B:.17g}",
         *(f"{name}: {value:.3e}" for name, value in report.to_dict().items()),
-        f"k = {k_here.real:.17g} + {k_here.imag:.17g} i, k^2 = {nonclassical_k_squared(p):.17g}",
+        f"k = {k_here.real:.17g} + {k_here.imag:.17g} i, k^2 = {k_squared:.17g}",
         f"wavenumber identity sweep ({s['k_sweep']} draws): worst rel {worst_rel:.3e}",
         "PASS" if passed else "FAIL",
     ]
@@ -465,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # flags whose dest is a dotted sim.* key are config overrides (see main)
     sp = sub.add_parser("simulate", help="method-of-lines cross-check run")
     common(sp)
-    sp.add_argument("--scheme", dest="sim.scheme", choices=["rk4", "semi-implicit"])
+    sp.add_argument("--scheme", dest="sim.scheme", choices=SCHEMES)
     sp.add_argument("--cfl", dest="sim.cfl_safety", type=float, metavar="CFL",
                     help="cfl safety factor")
     sp.add_argument("--refinements", dest="sim.refinements", type=int, metavar="REFINEMENTS",

@@ -46,7 +46,6 @@ __all__ = [
     "Grid",
     "g",
     "g_prime",
-    "csqrt",
     "ccbrt",
     "is_effectively_real",
     "require_real",
@@ -221,11 +220,6 @@ def g_prime(u):
     """Derivative of the reaction term, 1 - u**2."""
     u = np.asarray(u, dtype=float) if isinstance(u, np.ndarray) else u
     return 1.0 - u**2
-
-
-def csqrt(z) -> complex:
-    """Principal square root."""
-    return cmath.sqrt(z)
 
 
 def ccbrt(z) -> complex:

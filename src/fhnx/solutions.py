@@ -38,6 +38,7 @@ as formulas under test and matched against it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -53,7 +54,6 @@ from .core import (
     Params,
     SingularParameter,
     ccbrt,
-    csqrt,
     is_effectively_real,
     require_real,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "closed_form_root_match",
     "nonclassical_k",
     "nonclassical_k_squared",
-    "SYMMETRY_GENERATORS",
     "symmetry_catalog",
     "solve_F_exponent",
     "sample_F",
@@ -186,7 +185,7 @@ def _cardano_a(p: Params) -> tuple[complex, complex]:
         rad = -(4.0 * b**3 - 12.0 * b**2 + 12.0 * b - 4.0) / b
     except OverflowError:
         raise OutOfDomain(f"Cardano A radicand overflows float64 at beta = {b!r}") from None
-    w = ccbrt(4.0 * csqrt(rad) * b * b)
+    w = ccbrt(4.0 * cmath.sqrt(rad) * b * b)
     if w == 0:
         raise SingularParameter("beta = 1 collapses the Cardano denominator")
     u = w / (2.0 * b) + 2.0 * (b - 1.0) / w
@@ -200,7 +199,7 @@ def _cardano_b(p: Params) -> tuple[complex, complex]:
         rad = -((b - 1.0) ** 3) / b
     except OverflowError:
         raise OutOfDomain(f"Cardano B radicand overflows float64 at beta = {b!r}") from None
-    vv = ccbrt(csqrt(rad) * b * b)
+    vv = ccbrt(cmath.sqrt(rad) * b * b)
     if vv == 0:
         raise SingularParameter("beta = 1 collapses the Cardano denominator")
     u = (vv * vv + b * b - b) / (vv * b)
@@ -210,11 +209,11 @@ def _cardano_b(p: Params) -> tuple[complex, complex]:
 
 def _plus_minus(p: Params, sign: float) -> tuple[complex, complex]:
     b = p.beta
-    b_sqrt_b = b * csqrt(b)
+    b_sqrt_b = b * cmath.sqrt(b)
     if b_sqrt_b == 0:
         raise SingularParameter(f"beta * sqrt(beta) underflows to 0 at beta = {b!r}")
-    u = sign * csqrt(3.0) * csqrt(b - 1.0) / csqrt(b)
-    v = sign * csqrt(3.0) * csqrt(b - 1.0) / b_sqrt_b
+    u = sign * cmath.sqrt(3.0) * cmath.sqrt(b - 1.0) / cmath.sqrt(b)
+    v = sign * cmath.sqrt(3.0) * cmath.sqrt(b - 1.0) / b_sqrt_b
     return u, v
 
 
@@ -330,7 +329,7 @@ def solve_F_exponent(p: Params, A: float, B: float) -> complex:
         )
     except OverflowError:  # a Python-float power of A or B
         raise OutOfDomain(f"ansatz exponent overflows float64 at A = {A!r}, B = {B!r}") from None
-    return csqrt(rad) / (A * math.sqrt(D) * csqrt(e * b + A))
+    return cmath.sqrt(rad) / (A * math.sqrt(D) * cmath.sqrt(e * b + A))
 
 
 # Conditional symmetry generators admitted by the third-order reduction.
@@ -338,7 +337,7 @@ def solve_F_exponent(p: Params, A: float, B: float) -> complex:
 # above; the traveling generators have imaginary speed for positive
 # parameters and the free-speed generator has no associated closed form,
 # so they are recorded as tags only.
-SYMMETRY_GENERATORS = (
+_SYMMETRY_GENERATORS = (
     {"tag": "SpaceTranslation", "xi_t": 0.0, "xi_x": 1.0, "eta": "0"},
     {"tag": "TravelingImagSpeedPlus", "xi_t": 1.0, "xi_x": "+sqrt(-D*beta*eps)", "eta": "0"},
     {"tag": "TravelingImagSpeedMinus", "xi_t": 1.0, "xi_x": "-sqrt(-D*beta*eps)", "eta": "0"},
@@ -349,7 +348,7 @@ SYMMETRY_GENERATORS = (
 
 def symmetry_catalog() -> tuple[dict, ...]:
     """The recorded conditional-symmetry generator tags."""
-    return tuple(dict(s) for s in SYMMETRY_GENERATORS)
+    return tuple(dict(s) for s in _SYMMETRY_GENERATORS)
 
 
 class FSamples(NamedTuple):
@@ -420,7 +419,6 @@ class FixedPointState(SolutionFamily):
     catalog state keeps the match it was built from: ``roots``, the unforced
     fixed points, and ``root_index``, the one its closed form lands on."""
 
-    params: Params
     tag: str
     u_star: float
     v_star: float
@@ -443,7 +441,7 @@ def _fixed_point_family(p: Params, tag: str) -> FixedPointState:
     if idx is None:
         raise OutOfDomain(f"{tag}: closed form is not effectively real")
     fp = roots[idx]
-    return FixedPointState(params=p, tag=tag, u_star=fp.u, v_star=fp.v, root_index=idx, roots=roots)
+    return FixedPointState(tag=tag, u_star=fp.u, v_star=fp.v, root_index=idx, roots=roots)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -3,8 +3,7 @@
 Convention: the second argument is the MODULUS k, not the parameter
 m = k**2.  The steady-state catalog entry that consumes these functions was
 produced by a computer-algebra system using the modulus convention, so
-silently accepting m here would corrupt that check.  Use
-``parameter_from_modulus`` / ``modulus_from_parameter`` to convert.
+silently accepting m here would corrupt that check.
 
 Algorithm: descending Landen transformation driven by the
 arithmetic-geometric mean, cf. DLMF 22.20(ii).  Starting from
@@ -33,14 +32,7 @@ import numpy as np
 
 from .core import ConvergenceError, ModulusOutOfRange
 
-__all__ = [
-    "jacobi_sn",
-    "jacobi_cn_dn",
-    "jacobi_sn_cn_dn",
-    "ellipk",
-    "modulus_from_parameter",
-    "parameter_from_modulus",
-]
+__all__ = ["jacobi_sn", "jacobi_sn_cn_dn"]
 
 _AGM_TOL = 1e-15
 _AGM_MAX_ITER = 32
@@ -51,18 +43,6 @@ def _check_modulus(k: float) -> float:
     if not (0.0 <= k <= 1.0) or not math.isfinite(k):
         raise ModulusOutOfRange(f"modulus must lie in [0, 1], got {k!r}")
     return k
-
-
-def modulus_from_parameter(m: float) -> float:
-    """Convert parameter m = k**2 to the modulus k."""
-    if not (0.0 <= m <= 1.0):
-        raise ModulusOutOfRange(f"parameter must lie in [0, 1], got {m!r}")
-    return math.sqrt(m)
-
-
-def parameter_from_modulus(k: float) -> float:
-    """Convert the modulus k to the parameter m = k**2."""
-    return _check_modulus(k) ** 2
 
 
 def _agm_chain(k: float) -> tuple[list[float], list[float]]:
@@ -82,15 +62,6 @@ def _agm_chain(k: float) -> tuple[list[float], list[float]]:
         b = b_next
         n += 1
     return a, c
-
-
-def ellipk(modulus_k: float) -> float:
-    """Complete elliptic integral K(k); quarter period of sn.  K(1) = inf."""
-    k = _check_modulus(modulus_k)
-    if k == 1.0:
-        return math.inf
-    a, _ = _agm_chain(k)
-    return math.pi / (2.0 * a[-1])
 
 
 def jacobi_sn_cn_dn(z, modulus_k: float):
@@ -135,9 +106,3 @@ def jacobi_sn_cn_dn(z, modulus_k: float):
 def jacobi_sn(z, modulus_k: float):
     """Jacobi sn(z, k); sn(z, 0) = sin z, sn(z, 1) = tanh z."""
     return jacobi_sn_cn_dn(z, modulus_k)[0]
-
-
-def jacobi_cn_dn(z, modulus_k: float):
-    """Jacobi (cn, dn) from the same AGM descent; d/dz sn = cn * dn."""
-    _, cn, dn = jacobi_sn_cn_dn(z, modulus_k)
-    return cn, dn

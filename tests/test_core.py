@@ -11,7 +11,6 @@ from fhnx.core import (
     NonPositiveParameter,
     Params,
     ccbrt,
-    csqrt,
     g,
     g_prime,
     is_effectively_real,
@@ -62,19 +61,6 @@ class TestReaction:
 
 
 class TestComplexHelpers:
-    @given(
-        mag=st.floats(1e-6, 1e6),
-        angle=st.floats(-math.pi, math.pi),
-    )
-    def test_sqrt_squares_back(self, mag, angle):
-        z = mag * complex(math.cos(angle), math.sin(angle))
-        w = csqrt(z)
-        assert abs(w * w - z) <= 1e-14 * abs(z)
-
-    def test_sqrt_principal_branch(self):
-        assert csqrt(-1.0).imag > 0  # upper half plane
-        assert csqrt(4.0) == 2.0
-
     def test_cbrt_principal_branch(self):
         assert ccbrt(8.0) == pytest.approx(2.0)
         w = ccbrt(-8.0)

@@ -29,6 +29,12 @@ CLI_ENTRY_POINTS = (
     "write_frames",
     "_write_csv",
 )
+# names deleted because only tests called them, or because they aliased another
+REMOVED = {
+    "specfn": ("ellipk", "jacobi_cn_dn", "modulus_from_parameter", "parameter_from_modulus"),
+    "solutions": ("SYMMETRY_GENERATORS",),
+    "core": ("csqrt",),
+}
 TRACED_FAMILIES = ("NonClassicalExp", "JacobiSnSteady", "TanhFront", "FixedPointState")
 EVAL_METHODS = ("eval", "eval_derivs", "eval_second_time_derivs")
 
@@ -43,6 +49,19 @@ def test_module_all_resolves(module):
     mod = importlib.import_module(f"fhnx.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_removed_names_stay_removed():
+    import dataclasses
+
+    from fhnx.solutions import FixedPointState
+
+    for module, names in REMOVED.items():
+        mod = importlib.import_module(f"fhnx.{module}")
+        for name in names:
+            assert not hasattr(mod, name), f"fhnx.{module}.{name}"
+            assert not hasattr(fhnx, name), f"fhnx.{name}"
+    assert "params" not in {f.name for f in dataclasses.fields(FixedPointState)}
 
 
 def test_cli_entry_points_are_module_attributes():

@@ -98,7 +98,7 @@ class TestStep:
     def test_blowup_detection(self):
         grid = Grid(x_min=-1.0, x_max=1.0, nx=11, t_min=0.0, t_max=5.0, nt=2)
         cfg = SimConfig(grid=grid, scheme="semi-implicit", bc="periodic")
-        huge = FixedPointState(params=FIG1, tag="HugeState", u_star=9e5, v_star=-9e5)
+        huge = FixedPointState(tag="HugeState", u_star=9e5, v_star=-9e5)
         with pytest.raises(BlowUp) as err:
             run(huge, FIG1, cfg)
         assert err.value.step == 1
