@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -61,6 +62,16 @@ class TestReaction:
 
 
 class TestComplexHelpers:
+    @given(
+        mag=st.floats(1e-6, 1e6),
+        angle=st.floats(-math.pi, math.pi),
+    )
+    def test_cbrt_cubes_back(self, mag, angle):
+        z = mag * complex(math.cos(angle), math.sin(angle))
+        w = ccbrt(z)
+        assert abs(w**3 - z) <= 1e-13 * abs(z)
+        assert -math.pi / 3.0 <= cmath.phase(w) <= math.pi / 3.0 + 1e-15
+
     def test_cbrt_principal_branch(self):
         assert ccbrt(8.0) == pytest.approx(2.0)
         w = ccbrt(-8.0)

@@ -113,6 +113,22 @@ class TestArgumentHandling:
         np.testing.assert_allclose(sn, scalar, atol=1e-15)
         np.testing.assert_allclose(sn**2 + cn**2, 1.0, atol=1e-12)
 
+    def test_modulus_not_parameter_convention(self):
+        # k is the modulus: sn(z, 0.5) is not sn at parameter m = 0.5
+        z = 1.2
+        assert jacobi_sn(z, 0.5) == pytest.approx(sn_oracle(z, 0.5), abs=1e-12)
+        assert abs(jacobi_sn(z, 0.5) - sn_oracle(z, math.sqrt(0.5))) > 1e-3
+        dn = jacobi_sn_cn_dn(z, 0.5)[2]
+        assert dn * dn == pytest.approx(1.0 - 0.25 * jacobi_sn(z, 0.5) ** 2, abs=1e-12)
+
+    def test_quarter_period_degenerate_end(self):
+        # K(0) = pi/2: sn and cn reduce to sin and cos there
+        assert incomplete_f(math.pi / 2.0, 0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+        sn, cn, dn = jacobi_sn_cn_dn(math.pi / 2.0, 0.0)
+        assert sn == pytest.approx(1.0, abs=1e-15)
+        assert cn == pytest.approx(0.0, abs=1e-15)
+        assert dn == 1.0
+
     def test_elliptic_args_validation(self):
         with pytest.raises(ModulusOutOfRange):
             jacobi_sn_cn_dn(1.0, 1.5)
