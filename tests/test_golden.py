@@ -38,12 +38,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SUMS = GOLDEN / "SHA256SUMS"
 
 # verify writes two small files whatever the grid; its grid is fine enough
-# for the finite-difference check to pass
+# for the finite-difference check to pass, and small enough to be checked
+# in one block of rows; verify-default-grid (201 x 101) takes two
 VERIFY = ["verify", "--param", "grid.nx=41", "--param", "grid.nt=11"]
 SMALL = ["--param", "grid.nx=9", "--param", "grid.nt=5"]
 
 RUNS = {
     "verify-nonclassical": VERIFY,
+    "verify-default-grid": ["verify"],
     "verify-jacobisn": [
         *VERIFY,
         "--param", "family.tag=JacobiSnSteady",
