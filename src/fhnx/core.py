@@ -203,6 +203,19 @@ class Grid:
         return np.meshgrid(self.ts(), self.xs(), indexing="ij")
 
 
+# samples per block of grid rows in simulate's error pass and in verify's
+# checks: about 128 KB per float64 array, ten 1,601-sample rows
+_BLOCK_SAMPLES = 16384
+
+
+def _row_blocks(n_rows: int, nx: int) -> list[slice]:
+    """Consecutive slices covering n_rows rows of nx samples, each of at most
+    _BLOCK_SAMPLES samples but never less than one row; every stop is at
+    most n_rows."""
+    rows = max(1, _BLOCK_SAMPLES // nx)
+    return [slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows)]
+
+
 def g(u):
     """Cubic reaction term of the fast equation, u - u*u*u / 3.
 

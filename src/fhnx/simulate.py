@@ -62,6 +62,7 @@ from .core import (
     Grid,
     InsufficientSignal,
     Params,
+    _row_blocks,
     g,
 )
 from .solutions import SolutionFamily
@@ -80,9 +81,6 @@ __all__ = [
 SCHEMES = ("rk4", "semi-implicit")
 BCS = ("dirichlet-from-family", "periodic")
 BLOWUP_BOUND = 1e6
-# samples of the exact family per call in the error pass: about 128 KB per
-# array, ten 1,601-sample rows
-ERROR_BLOCK = 16384
 FRAME_MAGIC = b"FHN1"
 
 
@@ -274,12 +272,10 @@ def _states(ic_family: SolutionFamily, p: Params, cfg: SimConfig):
 def _errors(ic_family: SolutionFamily, grid: Grid, ts, us, vs) -> np.ndarray:
     """linf and l2 = sqrt(dx * sum(err**2)) of u and of v against the exact
     family, one row per entry of ts.  The family is evaluated axis-first on
-    blocks of at most ERROR_BLOCK samples (never less than one row)."""
+    blocks of whole rows (``core._row_blocks``)."""
     xs = grid.xs()
     errors = np.empty((len(ts), 4))
-    rows = max(1, ERROR_BLOCK // grid.nx)
-    for i in range(0, len(ts), rows):
-        block = slice(i, i + rows)
+    for block in _row_blocks(len(ts), grid.nx):
         ue, ve = ic_family.eval(ts[block, None], xs)
         for col, err in ((0, us[block] - ue), (2, vs[block] - ve)):
             errors[block, col] = np.max(np.abs(err), axis=1)

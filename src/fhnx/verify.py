@@ -19,29 +19,46 @@ grid, which decouples sampling from differentiation and keeps truncation
 error below the assertion tolerances (1e-10 analytic, 1e-5 finite
 difference by default).
 
-Families are evaluated on open grids (``ts[:, None]``, ``xs[None, :]``),
-so each transcendental factor is computed once per axis.  A steady family
-(``fam.steady``) does not depend on t, so its checks run on one time row
-(``ts[:1, None]``) and the report widens the result to the grid: the worst
-point is the full mesh's first maximum, which lies in row 0, and l2 sums
-the squares broadcast to a contiguous (nt, nx) array, in the full mesh's
-order.  The stencils are accumulated as each shift is evaluated, so the
-shifted samples are never all held at once.
+Each check runs over blocks of whole time rows, at most 16,384 samples but
+never less than one row (``core._row_blocks``, the block rule of
+``simulate``'s error pass), so its memory is set by the block size, not by
+the grid.  A block evaluates the family on its open grid
+(``ts[rows, None]``, ``xs[None, :]``), so each transcendental factor is
+computed once per axis, and the stencils' time shifts stay inside the
+block.  The stencils are accumulated as each shift is evaluated, so the
+shifted samples are never all held at once.  A steady family
+(``fam.steady``) does not depend on t, so its checks evaluate one time row
+(``ts[:1, None]``) and fold it once for the whole grid: the worst point is
+the full mesh's first maximum, which lies in row 0, and l2 sums the
+squares broadcast to each block's shape, block by block.
 
-A report takes |r_u| and |r_v| once and reads linf, the worst point and
-finiteness from them: their elementwise maximum is not finite exactly where
-either residual is.  Evaluation runs with floating-point overflow silenced;
-a non-finite residual raises OutOfDomain at its first (t, x) in C order.
+Each block takes |r_u| and |r_v| once and folds linf, the worst point and
+finiteness from them into a running report: their elementwise maximum is
+not finite exactly where either residual is.  l2 adds the blocks' sums of
+squares in row order, so on a grid of more than one block it may differ
+from a one-piece sum by rounding.  Evaluation runs with floating-point
+overflow silenced; a non-finite residual raises OutOfDomain at its first
+(t, x) in C order, before any later block is evaluated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import FhnxError, Grid, OutOfDomain, Params, SingularParameter, g, g_prime
+from .core import (
+    FhnxError,
+    Grid,
+    OutOfDomain,
+    Params,
+    SingularParameter,
+    _row_blocks,
+    g,
+    g_prime,
+)
 from .solutions import FSamples, SolutionFamily, nonclassical_k_squared
 
 __all__ = [
@@ -111,69 +128,118 @@ def _check_method(method: str) -> str:
     return method
 
 
-def _open_grid(grid: Grid, steady: bool):
-    """The report axes and the open grid to evaluate on: one time row for a
-    steady family, every row otherwise."""
-    ts, xs = grid.ts(), grid.xs()
-    return ts, xs, ts[:1, None] if steady else ts[:, None], xs[None, :]
+class _Norms:
+    """Running norms of one or two residuals over a grid, folded in a block
+    of whole time rows at a time, first row first.
+
+    ``peak`` folds |r| of each residual into its linf and the grid point of
+    the largest elementwise maximum across them: the first in C order, so a
+    tie in a later block keeps the earlier point.  A non-finite maximum
+    raises OutOfDomain at the block's first non-finite (t, x), which is the
+    grid's, since every earlier block was finite.  ``add`` also keeps each
+    block's sum of squares, taken at the block's shape, so the one row of a
+    steady family, folded once for every row, is summed block by block as
+    the full mesh would be.  A block whose squares overflow also keeps the
+    sum of its (r / block linf)**2.
+    """
+
+    def __init__(self, grid: Grid, count: int):
+        self.ts, self.xs = grid.ts(), grid.xs()
+        self.linf = [0.0] * count
+        # per residual, per block: sum of squares, block linf, scaled sum or None
+        self.sums: list[list[tuple]] = [[] for _ in range(count)]
+        self.worst, self.at = -1.0, (0, 0)
+
+    def peak(self, rows: slice, mags) -> list[float]:
+        """Fold in |r| of each residual on ``rows``; return each block max."""
+        mag = mags[0] if len(mags) == 1 else np.maximum(*mags)
+        it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
+        if not np.isfinite(mag[it, ix]):  # argmax finds a nan or inf if there is one
+            it, ix = np.unravel_index(int(np.argmax(~np.isfinite(mag))), mag.shape)
+            raise OutOfDomain(
+                f"residual is not finite at (t, x) = ({self.ts[rows.start + it]:.6g}, "
+                f"{self.xs[ix]:.6g}): the family's values overflow float64 there"
+            )
+        if mag[it, ix] > self.worst:
+            self.worst, self.at = mag[it, ix], (rows.start + it, ix)
+        maxima = [float(np.max(m)) for m in mags]
+        self.linf = [max(linf, m) for linf, m in zip(self.linf, maxima)]
+        return maxima
+
+    def add(self, rows: slice, rs) -> None:
+        """Fold in the residuals on ``rows``: a block, or one row standing
+        for every row of a steady family, whose squares are summed a block
+        of rows at a time."""
+        nx = self.xs.size
+
+        def sum_sq(sq, block):
+            return float(np.sum(np.ascontiguousarray(
+                np.broadcast_to(sq, (block.stop - block.start, nx)))))
+
+        for sums, r, m in zip(self.sums, rs, self.peak(rows, [np.abs(r) for r in rs])):
+            sq = r * r
+            for block in _row_blocks(rows.stop - rows.start, nx):
+                total = sum_sq(sq, block)
+                scaled = sum_sq(np.square(r / m), block) if math.isinf(total) else None
+                sums.append((total, m, scaled))
+
+    def l2(self, k: int) -> float:
+        """Root of residual k's summed squares.  When the total overflows,
+        linf times the root of the summed (r / linf)**2, each block's term
+        rescaled from its own sum."""
+        sums, linf = self.sums[k], self.linf[k]
+        total = 0.0
+        for block_total, _, _ in sums:
+            total += block_total
+        if math.isfinite(total):
+            return math.sqrt(total)
+        total = 0.0
+        for block_total, m, scaled in sums:
+            total += block_total / linf / linf if scaled is None else scaled * (m / linf) ** 2
+        return linf * math.sqrt(total)
+
+    def report(self, method: str, notes: tuple[str, ...]) -> ResidualReport:
+        """The report of the grid; a single residual's v norms are zero."""
+        norms = [(linf, self.l2(k)) for k, linf in enumerate(self.linf)]
+        if len(norms) == 1:
+            norms.append((0.0, 0.0))
+        (linf_u, l2_u), (linf_v, l2_v) = norms
+        it, ix = self.at
+        return ResidualReport(linf_u, l2_u, linf_v, l2_v, (float(self.ts[it]), float(self.xs[ix])),
+                              method, self.ts.size * self.xs.size, notes)
 
 
-def _first_max(ts, xs, mag: np.ndarray) -> tuple[int, int]:
-    """Grid indices of the first maximum of ``mag`` (one row or all); raise
-    OutOfDomain at the first (t, x), in C order, where it is not finite."""
-    it, ix = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    if not np.isfinite(mag[it, ix]):  # argmax finds a nan or inf if there is one
-        it, ix = np.unravel_index(int(np.argmax(~np.isfinite(mag))), mag.shape)
-        raise OutOfDomain(
-            f"residual is not finite at (t, x) = ({ts[it]:.6g}, {xs[ix]:.6g}): "
-            "the family's values overflow float64 there"
-        )
-    return it, ix
+def _scan(grid: Grid, steady: bool, residuals, fold) -> None:
+    """Call fold(rows, residuals(T, X)) on each block of whole time rows of
+    the grid (``core._row_blocks``), first row first, with the open grid
+    T = ts[rows, None], X = xs[None, :].  A steady family's residuals are
+    evaluated on the first time row and folded once, for every row."""
+    ts, X = grid.ts(), grid.xs()[None, :]
+    if steady:
+        fold(slice(0, grid.nt), residuals(ts[:1, None], X))
+        return
+    for rows in _row_blocks(grid.nt, grid.nx):
+        fold(rows, residuals(ts[rows, None], X))
 
 
-def _norms(r, mag, shape: tuple[int, int]) -> tuple[float, float]:
-    """linf (from mag = |r|) and l2 of r over the grid of ``shape``, which r
-    (one row or all) broadcasts to, summing the squares at that shape."""
-
-    def sum_sq(a):
-        return float(np.sqrt(np.sum(np.ascontiguousarray(np.broadcast_to(a * a, shape)))))
-
-    linf = float(np.max(mag))
-    l2 = sum_sq(r)
-    if not np.isfinite(l2):
-        # the squares overflow: sum them scaled by linf instead
-        l2 = linf * sum_sq(r / linf)
-    return linf, l2
-
-
-def _report(ts, xs, r_u, r_v, method: str, notes: tuple[str, ...]) -> ResidualReport:
-    """Norms and worst grid point of a residual pair over (ts, xs); r_v is
-    None for a single equation, whose v norms are zero."""
-    shape = (ts.size, xs.size)
-    abs_u = np.abs(r_u)
-    abs_v = None if r_v is None else np.abs(r_v)
-    it, ix = _first_max(ts, xs, abs_u if r_v is None else np.maximum(abs_u, abs_v))
-    norms_v = (0.0, 0.0) if r_v is None else _norms(r_v, abs_v, shape)
-    return ResidualReport(*_norms(r_u, abs_u, shape), *norms_v, (float(ts[it]), float(xs[ix])),
-                          method, ts.size * xs.size, notes)
-
-
-def _stencil(samples, h: float, *diffs):
+def _stencil(sample, h: float, *diffs):
     """Central 5-point differences, accumulated one shift at a time.
 
-    ``samples`` yields one tuple of fields per shift, in ``_SHIFTS`` order; a
-    generator is consumed as it goes, so only one shift is alive at a time.
-    Field k is differentiated by ``diffs[k]`` (``_D1`` or ``_D2``): 0 + w * f
-    summed left to right, then / (12 h**order).  Returns the differences and
-    the unshifted fields.
+    ``sample(shift)`` gives the tuple of fields at each shift of ``_SHIFTS``,
+    in order; a shift is dropped before the next is sampled, so only one is
+    alive at a time.  Field k is differentiated by ``diffs[k]`` (``_D1`` or
+    ``_D2``): 0 + w * f summed left to right, then / (12 h**order).  Returns
+    the differences and the unshifted fields.
     """
     sums, centre = [0] * len(diffs), None
-    for n, (shift, fields) in enumerate(zip(_SHIFTS, samples)):
+    for n, shift in enumerate(_SHIFTS):
+        fields = sample(shift)
         if shift == 0:
             centre = fields
         for k, ((weights, _), f) in enumerate(zip(diffs, fields)):
             if weights[n]:
                 sums[k] += weights[n] * f
+        del fields, f
     return [s / (12.0 * h**order) for s, (_, order) in zip(sums, diffs)], centre
 
 
@@ -190,19 +256,23 @@ def residual_system(
 ) -> ResidualReport:
     """Residual norms of both model equations for a family over a grid."""
     method = _check_method(method)
-    ts, xs, T, X = _open_grid(grid, fam.steady)
 
-    if method == "analytic":
-        u, v = fam.eval(T, X)
-        u_t, _, u_xx, v_t = fam.eval_derivs(T, X)
-    else:
-        hx, ht = _fd_steps(grid)
-        (u_t, v_t), (u, v) = _stencil((fam.eval(T + i * ht, X) for i in _SHIFTS), ht, _D1, _D1)
-        shifted_u = ((u,) if j == 0 else fam.eval(T, X + j * hx)[:1] for j in _SHIFTS)
-        (u_xx,), _ = _stencil(shifted_u, hx, _D2)
-    r_u = u_t - p.D * u_xx + v - g(u)
-    r_v = v_t - p.epsilon * (-p.beta * v + p.c + u)
-    return _report(ts, xs, r_u, r_v, method, fam.notes)
+    def residuals(T, X):
+        if method == "analytic":
+            u, v = fam.eval(T, X)
+            u_t, _, u_xx, v_t = fam.eval_derivs(T, X)
+        else:
+            hx, ht = _fd_steps(grid)
+            (u_t, v_t), (u, v) = _stencil(lambda i: fam.eval(T + i * ht, X), ht, _D1, _D1)
+            (u_xx,), _ = _stencil(
+                lambda j: (u,) if j == 0 else fam.eval(T, X + j * hx)[:1], hx, _D2
+            )
+        r_u = u_t - p.D * u_xx + v - g(u)
+        return r_u, v_t - p.epsilon * (-p.beta * v + p.c + u)
+
+    norms = _Norms(grid, 2)
+    _scan(grid, fam.steady, residuals, norms.add)
+    return norms.report(method, fam.notes)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -215,28 +285,28 @@ def residual_third_order(
     bounded by the system residual norms for catalog families.
     """
     method = _check_method(method)
-    ts, xs, T, X = _open_grid(grid, fam.steady)
 
-    if method == "analytic":
-        u, _ = fam.eval(T, X)
-        u_t, _, u_xx, _ = fam.eval_derivs(T, X)
-        u_tt, u_txx = fam.eval_second_time_derivs(T, X)
-    else:
-        hx, ht = _fd_steps(grid)
+    def residuals(T, X):
+        if method == "analytic":
+            u, _ = fam.eval(T, X)
+            u_t, _, u_xx, _ = fam.eval_derivs(T, X)
+            u_tt, u_txx = fam.eval_second_time_derivs(T, X)
+        else:
+            hx, ht = _fd_steps(grid)
 
-        def at_time_shift(i):
-            # u at x shift 0 (for u_t and u_tt) and u_xx (for u_txx)
-            (u_xx,), (u,) = _stencil(
-                (fam.eval(T + i * ht, X + j * hx)[:1] for j in _SHIFTS), hx, _D2
-            )
-            return u, u, u_xx
+            def at_time_shift(i):
+                # u at x shift 0 (for u_t and u_tt) and u_xx (for u_txx)
+                (u_xx,), (u,) = _stencil(
+                    lambda j: fam.eval(T + i * ht, X + j * hx)[:1], hx, _D2
+                )
+                return u, u, u_xx
 
-        (u_t, u_tt, u_txx), (u, _, u_xx) = _stencil(
-            map(at_time_shift, _SHIFTS), ht, _D1, _D2, _D1
-        )
-    r = _third_order_expr(p, u, u_t, u_xx, u_tt, u_txx)
-    notes = fam.notes + ("single third-order equation in u; v slots unused",)
-    return _report(ts, xs, r, None, method, notes)
+            (u_t, u_tt, u_txx), (u, _, u_xx) = _stencil(at_time_shift, ht, _D1, _D2, _D1)
+        return (_third_order_expr(p, u, u_t, u_xx, u_tt, u_txx),)
+
+    norms = _Norms(grid, 1)
+    _scan(grid, fam.steady, residuals, norms.add)
+    return norms.report(method, fam.notes + ("single third-order equation in u; v slots unused",))
 
 
 def _third_order_expr(p: Params, u, u_t, u_xx, u_tt, u_txx):
@@ -328,8 +398,12 @@ def invariant_surface_check(
     fam: SolutionFamily, A: float, B: float, grid: Grid
 ) -> float:
     """Sup norm of the invariant-surface defect u_t - (A u + B) on the grid."""
-    ts, xs, T, X = _open_grid(grid, fam.steady)
-    u, _ = fam.eval(T, X)
-    u_t, _, _, _ = fam.eval_derivs(T, X)
-    defect = np.abs(u_t - (A * u + B))
-    return float(defect[_first_max(ts, xs, defect)])
+
+    def defect(T, X):
+        u, _ = fam.eval(T, X)
+        u_t, _, _, _ = fam.eval_derivs(T, X)
+        return (np.abs(u_t - (A * u + B)),)
+
+    norms = _Norms(grid, 1)
+    _scan(grid, fam.steady, defect, norms.peak)
+    return norms.linf[0]

@@ -12,6 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from fhnx import core
 from fhnx.cli import CSV_BLOCK_ROWS, _write_csv, main
 from fhnx.config import SCHEMA as CONFIG_SCHEMA
 from fhnx.config import load_config
@@ -256,6 +257,23 @@ class TestVerify:
                 linf, l2 = rep[f"linf_{eq}"], rep[f"l2_{eq}"]
                 assert math.isfinite(l2) and linf <= l2 <= linf * math.sqrt(rep["sample_count"])
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_huge_residual_norms_agree_across_row_blocks(self, capsys, monkeypatch):
+        # one-row blocks sum each row's squares on its own; the overflow
+        # fallback must rescale them to the one-block norms
+        argv = [*self.OVERFLOW, "--param", "grid.x_max=150", "--json"]
+        _, one_block = run_json(capsys, argv)
+        monkeypatch.setattr(core, "_BLOCK_SAMPLES", 21)  # one row of nx = 21
+        code, row_blocks = run_json(capsys, argv)
+        assert code == 1
+        for name, rep in row_blocks["result"]["reports"].items():
+            ref = one_block["result"]["reports"][name]
+            assert {k: rep[k] for k in rep if not k.startswith("l2")} == (
+                {k: ref[k] for k in ref if not k.startswith("l2")})
+            for eq in ("u", "v"):
+                linf, l2 = rep[f"linf_{eq}"], rep[f"l2_{eq}"]
+                assert math.isfinite(l2) and linf <= l2 <= linf * math.sqrt(rep["sample_count"])
+                assert l2 == pytest.approx(ref[f"l2_{eq}"], rel=1e-13, abs=0)
 
     def test_overflowing_family_is_domain_error_at_first_point(self, capsys):
         with warnings.catch_warnings(record=True) as caught:

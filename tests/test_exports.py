@@ -29,11 +29,14 @@ CLI_ENTRY_POINTS = (
     "write_frames",
     "_write_csv",
 )
-# names deleted because only tests called them, or because they aliased another
+# names deleted because only tests called them, because they aliased
+# another, or because one private block budget (core._BLOCK_SAMPLES) took
+# their place
 REMOVED = {
     "specfn": ("ellipk", "jacobi_cn_dn", "modulus_from_parameter", "parameter_from_modulus"),
     "solutions": ("SYMMETRY_GENERATORS",),
     "core": ("csqrt",),
+    "simulate": ("ERROR_BLOCK",),
 }
 TRACED_FAMILIES = ("NonClassicalExp", "JacobiSnSteady", "TanhFront", "FixedPointState")
 EVAL_METHODS = ("eval", "eval_derivs", "eval_second_time_derivs")

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhnx import simulate
+from fhnx import core
 from fhnx.core import (
+    _BLOCK_SAMPLES,
     BlowUp,
     CflViolation,
     ConfigError,
@@ -15,7 +16,6 @@ from fhnx.core import (
     g,
 )
 from fhnx.simulate import (
-    ERROR_BLOCK,
     SimConfig,
     _states,
     convergence_study,
@@ -276,7 +276,7 @@ class TestBoundaryTraces:
                 return fam.eval(t, x)
 
         grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
-        assert grid.nt * grid.nx <= ERROR_BLOCK
+        assert grid.nt * grid.nx <= _BLOCK_SAMPLES
         out = run(Counting(), FIG1, SimConfig(grid=grid, scheme=scheme))
         ts, xs, ends = out.ts, out.xs, [0, -1]
         ue, ve = fam.eval(ts[:-1, None] + grid.dt, xs[ends])
@@ -331,10 +331,10 @@ class TestErrorPass:
     @pytest.mark.parametrize("nx, t_max, block", [
         (41, 0.5, 1024),  # several blocks, the last one partial
         (41, 0.05, 32),  # a block narrower than a row: one row per block
-        (101, 0.25, ERROR_BLOCK),  # the module's own block size
+        (101, 0.25, _BLOCK_SAMPLES),  # the package's own block size
     ])
     def test_blocks_match_per_row_formula(self, monkeypatch, scheme, bc, nx, t_max, block):
-        monkeypatch.setattr(simulate, "ERROR_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK_SAMPLES", block)
         fam = make_family("NonClassicalExp", FIG1)
         grid = cfl_grid(nx, t_max)
         rows = max(1, block // nx)

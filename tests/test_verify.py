@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from fhnx import solutions
+from fhnx import core, solutions
 from fhnx.cli import main
 from fhnx.core import FhnxError, Grid, OutOfDomain, Params, SingularParameter
 from fhnx.solutions import (
@@ -331,31 +331,50 @@ def test_fixed_point_verify_solves_the_cubic_once(monkeypatch):
 
 
 class _Table(SolutionFamily):
-    """A time-dependent family that returns fixed (nt, nx) arrays, zero
-    except at the entries given as ``field=((it, ix, value), ...)``."""
+    """A time-dependent family that returns fixed (nt, nx) arrays over a
+    grid, zero except at the entries given as ``field=((it, ix, value), ...)``.
+    A call gets only the rows of the times it asks for."""
 
     FIELDS = ("u", "v", "u_t", "u_x", "u_xx", "v_t")
 
-    def __init__(self, shape, **entries):
-        self.fields = {name: np.zeros(shape) for name in self.FIELDS}
+    def __init__(self, grid, **entries):
+        self.ts = grid.ts()
+        self.fields = {name: np.zeros((grid.nt, grid.nx)) for name in self.FIELDS}
         for name, points in entries.items():
             for it, ix, value in points:
                 self.fields[name][it, ix] = value
 
+    def rows(self, t):
+        rows = np.searchsorted(self.ts, np.ravel(t))
+        assert np.array_equal(self.ts[rows], np.ravel(t))
+        return rows
+
     def eval(self, t, x):
-        return self.fields["u"].copy(), self.fields["v"].copy()
+        rows = self.rows(t)
+        return self.fields["u"][rows], self.fields["v"][rows]
 
     def eval_derivs(self, t, x):
-        return tuple(self.fields[name].copy() for name in self.FIELDS[2:])
+        rows = self.rows(t)
+        return tuple(self.fields[name][rows] for name in self.FIELDS[2:])
+
+
+def _rows_per_block(monkeypatch, rows, grid):
+    """Check ``grid`` in blocks of ``rows`` rows; None keeps the package's
+    block size."""
+    if rows is not None:
+        monkeypatch.setattr(core, "_BLOCK_SAMPLES", rows * grid.nx)
+
+
+BLOCK_ROWS = pytest.mark.parametrize("block_rows", [None, 1, 2])
 
 
 class TestNonFiniteResidual:
     """OutOfDomain names the first non-finite (t, x) in C order, whichever
-    equation's residual it is in."""
+    equation's residual it is in and however the rows are blocked."""
 
     GRID = Grid(x_min=0.0, x_max=10.0, nx=11, t_min=0.0, t_max=5.0, nt=6)
-    SHAPE = (6, 11)
 
+    @BLOCK_ROWS
     @pytest.mark.parametrize("entries, where", [
         # v_t overflows: only r_v is not finite there
         ({"v_t": ((3, 5, np.inf),)}, "(3, 5)"),
@@ -367,18 +386,76 @@ class TestNonFiniteResidual:
         ({"u_t": ((4, 7, np.inf),), "v_t": ((1, 2, np.nan),)}, "(1, 2)"),
         # within one row, an inf in r_u left of a nan in r_v
         ({"u_t": ((2, 3, -np.inf),), "v_t": ((2, 8, np.nan),)}, "(2, 3)"),
-    ], ids=["v_t", "v", "u-inf-then-v-nan", "v-nan-then-u-inf", "same-row"])
-    def test_system_raises_at_the_first_non_finite_point(self, entries, where):
-        fam = _Table(self.SHAPE, **entries)
-        u, v = fam.eval(0.0, 0.0)
+        # one two-row block, a nan in its first row right of an inf in its second
+        ({"u_t": ((3, 1, np.inf),), "v_t": ((2, 9, np.nan),)}, "(2, 9)"),
+    ], ids=["v_t", "v", "u-inf-then-v-nan", "v-nan-then-u-inf", "same-row", "same-block"])
+    def test_system_raises_at_the_first_non_finite_point(self, monkeypatch, block_rows,
+                                                          entries, where):
+        _rows_per_block(monkeypatch, block_rows, self.GRID)
+        fam = _Table(self.GRID, **entries)
+        u, v = fam.eval(self.GRID.ts()[:, None], self.GRID.xs())
         assert np.isfinite(u).all()
         with pytest.raises(OutOfDomain, match=rf"at \(t, x\) = {re.escape(where)}:"):
             residual_system(fam, FIG1, self.GRID, "analytic")
 
-    def test_finite_table_reports_its_worst_point(self):
-        fam = _Table(self.SHAPE, u_t=((1, 2, 0.5),), v_t=((4, 7, -2.0),))
+    @BLOCK_ROWS
+    @pytest.mark.parametrize("v_t, worst", [
+        (-2.0, (4.0, 7.0)),
+        # a tie in a later block keeps the earlier point
+        (-0.5, (1.0, 2.0)),
+    ])
+    def test_finite_table_reports_its_worst_point(self, monkeypatch, block_rows, v_t, worst):
+        _rows_per_block(monkeypatch, block_rows, self.GRID)
+        fam = _Table(self.GRID, u_t=((1, 2, 0.5),), v_t=((4, 7, v_t),))
         rep = residual_system(fam, FIG1, self.GRID, "analytic")
-        assert (rep.linf_u, rep.linf_v, rep.worst_point) == (0.5, 2.0, (4.0, 7.0))
+        assert (rep.linf_u, rep.linf_v, rep.worst_point) == (0.5, -v_t, worst)
+
+    @BLOCK_ROWS
+    def test_squares_overflowing_across_blocks_give_finite_l2(self, monkeypatch, block_rows):
+        # r_u = u_t: rows 0, 1 and 3 hold two entries each (their squares sum
+        # to 1.6e308), row 4 three (they overflow), so the total overflows
+        # whether a block holds one row, two or all six
+        big = 9e153
+        points = [(it, ix, big) for it in (0, 1, 3) for ix in (2, 8)]
+        points += [(4, ix, -big) for ix in (0, 5, 10)]
+        _rows_per_block(monkeypatch, block_rows, self.GRID)
+        rep = residual_system(_Table(self.GRID, u_t=points), FIG1, self.GRID, "analytic")
+        assert rep.linf_u == big
+        assert rep.l2_u == pytest.approx(big * math.sqrt(len(points)), rel=1e-15, abs=0)
+        assert (rep.linf_v, rep.l2_v, rep.worst_point) == (0.0, 0.0, (0.0, 2.0))
+
+
+class TestRowBlocks:
+    """Each check folds blocks of whole time rows into one report; blocked
+    results equal the one-block result (l2 to rounding)."""
+
+    CHECKS = (residual_system, residual_third_order)
+    METHODS = ("analytic", "finite-difference")
+
+    @staticmethod
+    def results(fam, grid):
+        reports = {(check.__name__, method): check(fam, FIG1, grid, method)
+                   for check in TestRowBlocks.CHECKS for method in TestRowBlocks.METHODS}
+        defects = [invariant_surface_check(fam, A, 0.0, grid) for A in (0.0, A_of(FIG1))]
+        return reports, defects
+
+    @pytest.mark.parametrize("tag", ["NonClassicalExp", *STEADY_TAGS])
+    def test_blocks_equal_one_block(self, monkeypatch, tag):
+        fam = make_family(tag, FIG1, **FAMILY_CONSTANTS.get(tag, {}))
+        grid = SPACETIME_GRID
+        assert grid.nt % 3  # 3-row blocks leave a partial last block
+        _rows_per_block(monkeypatch, 2 * grid.nt, grid)
+        whole, whole_defects = self.results(fam, grid)
+        for rows in (1, 3):
+            _rows_per_block(monkeypatch, rows, grid)
+            reports, defects = self.results(fam, grid)
+            assert defects == whole_defects, rows
+            for key, rep in reports.items():
+                ref = whole[key]
+                assert (rep.linf_u, rep.linf_v, rep.worst_point, rep.sample_count) == (
+                    ref.linf_u, ref.linf_v, ref.worst_point, ref.sample_count), (rows, key)
+                for l2, ref_l2 in ((rep.l2_u, ref.l2_u), (rep.l2_v, ref.l2_v)):
+                    assert l2 == pytest.approx(ref_l2, rel=1e-13, abs=0), (rows, key)
 
 
 def _peak_bytes(fn, *args) -> int:
@@ -398,3 +475,19 @@ def test_finite_difference_peak_not_above_analytic():
     analytic = _peak_bytes(residual_system, fam, FIG1, grid, "analytic")
     fd = _peak_bytes(residual_system, fam, FIG1, grid, "finite-difference")
     assert fd <= analytic, (fd, analytic)
+
+
+def test_peak_memory_does_not_grow_with_nt():
+    # blocks of whole rows bound each check's working set, whatever nt
+    fam = make_family("NonClassicalExp", FIG1)
+    checks = {
+        "analytic": lambda grid: residual_system(fam, FIG1, grid, "analytic"),
+        "finite-difference": lambda grid: residual_system(fam, FIG1, grid, "finite-difference"),
+        "invariant surface": lambda grid: invariant_surface_check(fam, A_of(FIG1), 0.0, grid),
+    }
+    for name, check in checks.items():
+        small, large = (
+            _peak_bytes(check, Grid(x_min=-3.0, x_max=3.0, nx=801, t_min=0.0, t_max=5.0, nt=nt))
+            for nt in (101, 401)
+        )
+        assert large <= 1.1 * small, (name, small, large)
