@@ -49,16 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    FhnxError,
-    Grid,
-    OutOfDomain,
-    Params,
-    SingularParameter,
-    _row_blocks,
-    g,
-    g_prime,
-)
+from .core import FhnxError, Grid, OutOfDomain, Params, SingularParameter, _row_blocks, g, g_prime
 from .solutions import FSamples, SolutionFamily, nonclassical_k_squared
 
 __all__ = [

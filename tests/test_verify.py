@@ -359,13 +359,8 @@ class _Table(SolutionFamily):
 
 
 def _rows_per_block(monkeypatch, rows, grid):
-    """Check ``grid`` in blocks of ``rows`` rows; None keeps the package's
-    block size."""
-    if rows is not None:
-        monkeypatch.setattr(core, "_BLOCK_SAMPLES", rows * grid.nx)
-
-
-BLOCK_ROWS = pytest.mark.parametrize("block_rows", [None, 1, 2])
+    """Check ``grid`` in blocks of ``rows`` whole rows."""
+    monkeypatch.setattr(core, "_BLOCK_SAMPLES", rows * grid.nx)
 
 
 class TestNonFiniteResidual:
@@ -373,9 +368,7 @@ class TestNonFiniteResidual:
     equation's residual it is in and however the rows are blocked."""
 
     GRID = Grid(x_min=0.0, x_max=10.0, nx=11, t_min=0.0, t_max=5.0, nt=6)
-
-    @BLOCK_ROWS
-    @pytest.mark.parametrize("entries, where", [
+    NON_FINITE = pytest.mark.parametrize("entries, where", [
         # v_t overflows: only r_v is not finite there
         ({"v_t": ((3, 5, np.inf),)}, "(3, 5)"),
         # v overflows while u stays finite
@@ -386,12 +379,13 @@ class TestNonFiniteResidual:
         ({"u_t": ((4, 7, np.inf),), "v_t": ((1, 2, np.nan),)}, "(1, 2)"),
         # within one row, an inf in r_u left of a nan in r_v
         ({"u_t": ((2, 3, -np.inf),), "v_t": ((2, 8, np.nan),)}, "(2, 3)"),
-        # one two-row block, a nan in its first row right of an inf in its second
+        # within two rows, a nan in the first right of an inf in the second
         ({"u_t": ((3, 1, np.inf),), "v_t": ((2, 9, np.nan),)}, "(2, 9)"),
-    ], ids=["v_t", "v", "u-inf-then-v-nan", "v-nan-then-u-inf", "same-row", "same-block"])
-    def test_system_raises_at_the_first_non_finite_point(self, monkeypatch, block_rows,
-                                                          entries, where):
-        _rows_per_block(monkeypatch, block_rows, self.GRID)
+    ], ids=["v_t", "v", "u-inf-then-v-nan", "v-nan-then-u-inf", "same-row", "two-rows"])
+    BLOCK_ROWS = pytest.mark.parametrize("block_rows", [1, 2])
+
+    @NON_FINITE
+    def test_system_raises_at_the_first_non_finite_point(self, entries, where):
         fam = _Table(self.GRID, **entries)
         u, v = fam.eval(self.GRID.ts()[:, None], self.GRID.xs())
         assert np.isfinite(u).all()
@@ -399,18 +393,30 @@ class TestNonFiniteResidual:
             residual_system(fam, FIG1, self.GRID, "analytic")
 
     @BLOCK_ROWS
+    @NON_FINITE
+    def test_first_non_finite_point_across_block_edges(self, monkeypatch, block_rows,
+                                                        entries, where):
+        _rows_per_block(monkeypatch, block_rows, self.GRID)
+        self.test_system_raises_at_the_first_non_finite_point(entries, where)
+
+    def test_finite_table_reports_its_worst_point(self):
+        fam = _Table(self.GRID, u_t=((1, 2, 0.5),), v_t=((4, 7, -2.0),))
+        rep = residual_system(fam, FIG1, self.GRID, "analytic")
+        assert (rep.linf_u, rep.linf_v, rep.worst_point) == (0.5, 2.0, (4.0, 7.0))
+
+    @BLOCK_ROWS
     @pytest.mark.parametrize("v_t, worst", [
         (-2.0, (4.0, 7.0)),
         # a tie in a later block keeps the earlier point
         (-0.5, (1.0, 2.0)),
     ])
-    def test_finite_table_reports_its_worst_point(self, monkeypatch, block_rows, v_t, worst):
+    def test_worst_point_across_block_edges(self, monkeypatch, block_rows, v_t, worst):
         _rows_per_block(monkeypatch, block_rows, self.GRID)
         fam = _Table(self.GRID, u_t=((1, 2, 0.5),), v_t=((4, 7, v_t),))
         rep = residual_system(fam, FIG1, self.GRID, "analytic")
         assert (rep.linf_u, rep.linf_v, rep.worst_point) == (0.5, -v_t, worst)
 
-    @BLOCK_ROWS
+    @pytest.mark.parametrize("block_rows", [1, 2, 6])
     def test_squares_overflowing_across_blocks_give_finite_l2(self, monkeypatch, block_rows):
         # r_u = u_t: rows 0, 1 and 3 hold two entries each (their squares sum
         # to 1.6e308), row 4 three (they overflow), so the total overflows
@@ -432,10 +438,10 @@ class TestRowBlocks:
     CHECKS = (residual_system, residual_third_order)
     METHODS = ("analytic", "finite-difference")
 
-    @staticmethod
-    def results(fam, grid):
+    @classmethod
+    def results(cls, fam, grid):
         reports = {(check.__name__, method): check(fam, FIG1, grid, method)
-                   for check in TestRowBlocks.CHECKS for method in TestRowBlocks.METHODS}
+                   for check in cls.CHECKS for method in cls.METHODS}
         defects = [invariant_surface_check(fam, A, 0.0, grid) for A in (0.0, A_of(FIG1))]
         return reports, defects
 
@@ -444,7 +450,7 @@ class TestRowBlocks:
         fam = make_family(tag, FIG1, **FAMILY_CONSTANTS.get(tag, {}))
         grid = SPACETIME_GRID
         assert grid.nt % 3  # 3-row blocks leave a partial last block
-        _rows_per_block(monkeypatch, 2 * grid.nt, grid)
+        _rows_per_block(monkeypatch, 2 * grid.nt, grid)  # one block
         whole, whole_defects = self.results(fam, grid)
         for rows in (1, 3):
             _rows_per_block(monkeypatch, rows, grid)
