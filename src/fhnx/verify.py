@@ -139,7 +139,7 @@ class _Norms:
         self.linf = [0.0] * count
         # per residual, per block: sum of squares, block linf, scaled sum or None
         self.sums: list[list[tuple]] = [[] for _ in range(count)]
-        self.worst, self.at = -1.0, (0, 0)
+        self.at = (0, 0)  # the worst point, as grid indices
 
     def peak(self, rows: slice, mags) -> list[float]:
         """Fold in |r| of each residual on ``rows``; return each block max."""
@@ -151,8 +151,8 @@ class _Norms:
                 f"residual is not finite at (t, x) = ({self.ts[rows.start + it]:.6g}, "
                 f"{self.xs[ix]:.6g}): the family's values overflow float64 there"
             )
-        if mag[it, ix] > self.worst:
-            self.worst, self.at = mag[it, ix], (rows.start + it, ix)
+        if mag[it, ix] > max(self.linf):
+            self.at = (rows.start + it, ix)
         maxima = [float(np.max(m)) for m in mags]
         self.linf = [max(linf, m) for linf, m in zip(self.linf, maxima)]
         return maxima
