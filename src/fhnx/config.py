@@ -21,12 +21,14 @@ plus [tolerances], [output], [run], [sim], [stability], [ansatz].
 
 CLI overrides use the dotted form ``--param section.key=value``.  File
 entries, then overrides, become one list of (section, key, raw) entries;
-one loop rejects unknown keys, coerces and records each as given, so an
-override beats the file.  File sections are case-sensitive (an unknown one
-is an error even when empty); override names are stripped and lowercased.
-Missing keys take the defaults below, and the resolved configuration is
-echoed in every report header.  A family takes only the constants that
-were given; the others take the class defaults, equal to those below.
+one loop rejects unknown keys, coerces each, checks its rule and records
+it as given, so an override beats the file and a configuration that loads
+holds every rule, whatever the command.  File sections are case-sensitive
+(an unknown one is an error even when empty); override names are stripped
+and lowercased.  Missing keys take the defaults below, and the resolved
+configuration is echoed in every report header.  A family takes only the
+constants that were given; the others take the class defaults, equal to
+those below.
 """
 
 from __future__ import annotations
@@ -36,14 +38,16 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import ConfigError, Grid, Params
+from .core import _MAX_SAMPLES, ConfigError, Grid, Params
 from .simulate import SimConfig
 from .solutions import SolutionFamily, make_family
 
 __all__ = ["RunConfig", "load_config", "SCHEMA"]
 
-# section -> key -> (type, default)
-SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
+# section -> key -> (type, default[, rule]).  A rule is an int's inclusive
+# (min, max) range or a str's allowed values.  Keys that a run object checks
+# (Grid, SimConfig, Params, dispersion_sweep) carry none.
+SCHEMA: dict[str, dict[str, tuple]] = {
     "params": {
         "d": (float, 1.03),
         "epsilon": (float, 0.3),
@@ -74,11 +78,11 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     # format picks the stdout report style; dir enables file output when
     # nonempty (the --json / --out flags override)
     "output": {
-        "format": (str, "csv"),
+        "format": (str, "csv", ("csv", "json")),
         "dir": (str, ""),
     },
     "run": {
-        "seed": (int, 0),
+        "seed": (int, 0, (0, math.inf)),
     },
     "sim": {
         "scheme": (str, "rk4"),
@@ -96,22 +100,31 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "b": (float, 0.0),
         "x_min": (float, -2.0),
         "x_max": (float, 2.0),
-        "n": (int, 201),
-        "k_sweep": (int, 1000),
+        "n": (int, 201, (1, _MAX_SAMPLES)),
+        "k_sweep": (int, 1000, (0, _MAX_SAMPLES)),
     },
 }
 
 
 def _coerce(section: str, key: str, raw: str):
-    kind, default = SCHEMA[section][key]
+    kind, default, *rule = SCHEMA[section][key]
+    name = f"{section}.{key}"
     # floats, and 'auto' keys set to anything else, must be finite numbers
     numeric = kind is float or (default == "auto" and raw != "auto")
     try:
         value = kind(raw)
         if numeric and not math.isfinite(float(raw)):
-            raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+            raise ConfigError(f"{name} must be finite, got {raw!r}")
     except ValueError as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+        raise ConfigError(f"bad value for {name}: {raw!r}") from exc
+    if rule and kind is str and value not in rule[0]:
+        raise ConfigError(f"{name} must be {' or '.join(rule[0])}, got {value!r}")
+    if rule and kind is int:
+        lo, hi = rule[0]
+        if value < lo:
+            raise ConfigError(f"{name} must be >= {lo}, got {value}")
+        if value > hi:
+            raise ConfigError(f"{name} must be <= {hi}, got {value}")
     return value
 
 
@@ -149,23 +162,8 @@ class RunConfig:
         s = self.section("sim")
         return SimConfig(self.grid(), **{key: s[key] for key in s if key != "refinements"})
 
-    def seed(self) -> int:
-        seed = self.section("run")["seed"]
-        if seed < 0:
-            raise ConfigError(f"run.seed must be >= 0, got {seed}")
-        return seed
-
     def tol(self, name: str) -> float:
         return self.section("tolerances")[name]
-
-    def output_format(self) -> str:
-        fmt = self.section("output")["format"]
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
-        return fmt
-
-    def output_dir(self) -> str:
-        return self.section("output")["dir"]
 
 
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
@@ -191,7 +189,7 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
             raise ConfigError(f"override key must be dotted section.key: {dotted!r}")
         sec, key = (part.strip().lower() for part in dotted.split(".", 1))
         entries.append((sec, key, raw.strip()))
-    values = {sec: {key: v for key, (_, v) in kv.items()} for sec, kv in SCHEMA.items()}
+    values = {sec: {key: entry[1] for key, entry in kv.items()} for sec, kv in SCHEMA.items()}
     for sec, key, raw in entries:
         if key not in SCHEMA.get(sec, {}):
             raise ConfigError(f"unknown config key {sec}.{key}")

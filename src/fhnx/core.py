@@ -16,7 +16,7 @@ Complex scalars are plain Python ``complex`` values.  All multivalued
 operations (square root, cube root) use principal branches; several closed
 forms in the solution catalog have complex intermediates whose imaginary
 parts cancel only in exact arithmetic, so a value is accepted as "real"
-when ``|Im z| <= tol * max(1, |Re z|)`` with ``tol = 1e-9`` by default.
+when ``|Im z| <= REAL_TOL * max(1, |Re z|)`` with ``REAL_TOL = 1e-9``.
 """
 
 from __future__ import annotations
@@ -247,18 +247,18 @@ def ccbrt(z) -> complex:
     return cmath.exp(cmath.log(z) / 3.0)
 
 
-def is_effectively_real(z, tol: float = REAL_TOL) -> bool:
-    """True when |Im z| <= tol * max(1, |Re z|), elementwise for arrays."""
+def is_effectively_real(z) -> bool:
+    """True when |Im z| <= REAL_TOL * max(1, |Re z|), elementwise for arrays."""
     z = np.asarray(z)
     re = np.abs(np.real(z))
     im = np.abs(np.imag(z))
-    return bool(np.all(im <= tol * np.maximum(1.0, re)))
+    return bool(np.all(im <= REAL_TOL * np.maximum(1.0, re)))
 
 
-def require_real(z, tol: float = REAL_TOL, what: str = "value"):
+def require_real(z, what: str = "value"):
     """Return the real part of z, raising ComplexResult above tolerance."""
     z = np.asarray(z)
-    if not is_effectively_real(z, tol):
+    if not is_effectively_real(z):
         worst = float(np.max(np.abs(np.imag(z))))
         raise ComplexResult(f"{what} has imaginary part {worst:.3e} above tolerance")
     out = np.real(z).astype(float, copy=True)

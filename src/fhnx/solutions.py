@@ -46,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    REAL_TOL,
     BranchMismatch,
     ConfigError,
     FhnxError,
@@ -540,8 +539,6 @@ class JacobiSnSteady(SolutionFamily):
         m = min(m, 1.0)
         denom = b * self.c2**2 + five
         q = (b - 1.0) / denom
-        if q < 0.0:
-            raise OutOfDomain("sn amplitude radicand negative (needs beta >= 1)")
         s_amp = math.sqrt(6.0) * math.sqrt(q)
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "amplitude", self.c2 * s_amp)
@@ -591,13 +588,12 @@ class NonClassicalExp(SolutionFamily):
     c2: float = 1.0
     tag: str = "NonClassicalExp"
     steady: bool = False
-    k: complex = field(init=False)
     k_squared: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c1", float(self.c1))
         object.__setattr__(self, "c2", float(self.c2))
-        object.__setattr__(self, "k", nonclassical_k(self.params))
+        nonclassical_k(self.params)  # raises unless k is finite and consistent
         object.__setattr__(self, "k_squared", nonclassical_k_squared(self.params))
 
     @property
@@ -618,8 +614,8 @@ class NonClassicalExp(SolutionFamily):
         kappa = math.sqrt(-k2)
         s = (c1 + c2) * np.cos(kappa * x) + 1j * (c2 - c1) * np.sin(kappa * x)
         s_x = kappa * (-(c1 + c2) * np.sin(kappa * x) + 1j * (c2 - c1) * np.cos(kappa * x))
-        s = require_real(s, REAL_TOL, "spatial factor of the exponential family")
-        s_x = require_real(s_x, REAL_TOL, "spatial derivative of the exponential family")
+        s = require_real(s, "spatial factor of the exponential family")
+        s_x = require_real(s_x, "spatial derivative of the exponential family")
         return s, s_x
 
     def _decay(self, t):

@@ -82,11 +82,12 @@ def eig_closed_form(m):
     return (tr + root) / 2.0, (tr - root) / 2.0
 
 
-def classify_matrix(m, tol: float = _DEGENERATE_TOL) -> tuple[tuple[complex, complex], str]:
+def classify_matrix(m) -> tuple[tuple[complex, complex], str]:
     """Eigenvalues plus a trace-determinant-chart label for a 2x2 matrix."""
     tr, det = _trace_det(m)
     disc = tr * tr - 4.0 * det
     eigs = eig_closed_form(m)
+    tol = _DEGENERATE_TOL
     if abs(det) < tol or abs(disc) < tol or (det > 0.0 and abs(tr) < tol):
         return eigs, "center/degenerate"
     if det < 0.0:

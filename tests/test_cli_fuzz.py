@@ -3,7 +3,10 @@
 Every command, with any family tag and a few ``--param`` overrides drawn
 from edge values, must end in exit code 0, 1, 2 or 3 with no traceback and
 no RuntimeWarning, and its ``--json`` report must hold no NaN or Infinity.
-Grids are small, so one example costs milliseconds.
+A configuration is valid for every command or for none: when ``load_config``
+rejects the ``--param`` values, the command exits 2 with its message, and
+when it accepts them, no command rejects a config key by name.  Grids are
+small, so one example costs milliseconds.
 
 The search is derandomized, so every run draws the same examples, and
 ``MAX_EXAMPLES`` = 400 keeps it at about 3.5 s (2-vCPU Xeon, Python 3.11).
@@ -22,7 +25,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings, strategies as st
 
 from fhnx.cli import main
-from fhnx.config import SCHEMA
+from fhnx.config import SCHEMA, load_config
+from fhnx.core import ConfigError
 from fhnx.solutions import FAMILY_TAGS
 
 MAX_EXAMPLES = 400
@@ -46,6 +50,8 @@ KEYS = [
     for key in keys
     if (sec, key) != ("family", "tag")
 ]
+# prefixes of the loader's per-key messages
+KEY_ERRORS = tuple(f"config error: {sec}.{key} " for sec, keys in SCHEMA.items() for key in keys)
 VALUES = ["0", "-1", "1", "2", "0.5", "1e300", "-1e300", "1e-300", "1e-320",
           "nan", "inf", "-inf", "junk"]
 
@@ -76,3 +82,9 @@ def test_exit_code_contract(command, tag, overrides):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert code != 0 and err.getvalue()
+    try:
+        load_config(None, [arg for arg, flag in zip(argv[1:], argv) if flag == "--param"])
+    except ConfigError as exc:
+        assert (code, err.getvalue()) == (2, f"config error: {exc}\n")
+    else:
+        assert not err.getvalue().startswith(KEY_ERRORS)

@@ -38,6 +38,18 @@ REMOVED = {
     "core": ("csqrt",),
     "simulate": ("ERROR_BLOCK",),
 }
+# RunConfig accessors whose rules moved into the config loop, and a field
+# nothing read
+REMOVED_ATTRIBUTES = {
+    ("config", "RunConfig"): ("seed", "output_format", "output_dir"),
+    ("solutions", "NonClassicalExp"): ("k",),
+}
+# tolerance parameters that no caller set to anything but the module constant
+REMOVED_PARAMETERS = {
+    ("core", "is_effectively_real"): ("tol",),
+    ("core", "require_real"): ("tol",),
+    ("stability", "classify_matrix"): ("tol",),
+}
 TRACED_FAMILIES = ("NonClassicalExp", "JacobiSnSteady", "TanhFront", "FixedPointState")
 EVAL_METHODS = ("eval", "eval_derivs", "eval_second_time_derivs")
 
@@ -65,6 +77,15 @@ def test_removed_names_stay_removed():
             assert not hasattr(mod, name), f"fhnx.{module}.{name}"
             assert not hasattr(fhnx, name), f"fhnx.{name}"
     assert "params" not in {f.name for f in dataclasses.fields(FixedPointState)}
+    for (module, owner), names in REMOVED_ATTRIBUTES.items():
+        cls = getattr(importlib.import_module(f"fhnx.{module}"), owner)
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            assert not hasattr(cls, name) and name not in fields, f"{owner}.{name}"
+    for (module, func), names in REMOVED_PARAMETERS.items():
+        params = inspect.signature(getattr(importlib.import_module(f"fhnx.{module}"), func)).parameters
+        for name in names:
+            assert name not in params, f"{func}({name})"
 
 
 def test_cli_entry_points_are_module_attributes():

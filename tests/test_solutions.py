@@ -134,6 +134,10 @@ class TestClosedForms:
         assert not is_effectively_real(u)
         assert closed_form_root_match(Params(1.0, 0.3, 0.5), "FixedPointPlus") is None
 
+    def test_family_rejects_a_complex_closed_form(self):
+        with pytest.raises(OutOfDomain, match="FixedPointPlus: closed form is not effectively real"):
+            make_family("FixedPointPlus", Params(1.0, 0.3, 0.5))
+
     def test_cardano_collapses_to_origin_below_beta_one(self):
         p = Params(1.0, 0.3, 0.5)
         for tag in ("FixedPointCardanoA", "FixedPointCardanoB"):
@@ -403,7 +407,8 @@ class TestNonClassicalFamily:
         T, X = BENCH_GRID.meshes()
         _, v = make_family("NonClassicalExp", p, c1=c1, c2=c2).eval(T, X)
         ref = v_bracket(p, c1, c2, T, X)
-        assert is_effectively_real(ref, 1e-12)
+        # effectively real at 1e-12, a tighter tolerance than REAL_TOL
+        assert np.all(np.abs(np.imag(ref)) <= 1e-12 * np.maximum(1.0, np.abs(np.real(ref))))
         assert np.all(np.abs(v - ref.real) <= 1e-12 * np.maximum(1.0, np.abs(v)))
 
     @pytest.mark.parametrize(
@@ -430,7 +435,8 @@ class TestAnsatzType:
         fam = make_family("NonClassicalExp", FIG1, c1=1.0, c2=1.0)
         assert fam.decay_rate == pytest.approx(-0.2, abs=1e-15)
         k2 = nonclassical_k_squared(FIG1)
-        assert abs(fam.k**2 - k2) <= 1e-12 * max(1.0, abs(k2))
+        assert fam.k_squared == k2
+        assert abs(nonclassical_k(FIG1) ** 2 - k2) <= 1e-12 * max(1.0, abs(k2))
 
     def test_symmetry_catalog_recorded(self):
         tags = [s["tag"] for s in symmetry_catalog()]
