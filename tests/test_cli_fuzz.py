@@ -3,10 +3,11 @@
 Every command, with any family tag and a few ``--param`` overrides drawn
 from edge values, must end in exit code 0, 1, 2 or 3 with no traceback and
 no RuntimeWarning, and its ``--json`` report must hold no NaN or Infinity.
-A configuration is valid for every command or for none: when ``load_config``
-rejects the ``--param`` values, the command exits 2 with its message, and
-when it accepts them, no command rejects a config key by name.  Grids are
-small, so one example costs milliseconds.
+The loader's rules hold for every command: when ``load_config`` rejects
+the ``--param`` values, the command exits 2 with its message, and when it
+accepts them, no command rejects a config key by name (the run objects'
+own checks, such as ``Grid``'s, do not name one).  Grids are small, so one
+example costs milliseconds.
 
 The search is derandomized, so every run draws the same examples, and
 ``MAX_EXAMPLES`` = 400 keeps it at about 3.5 s (2-vCPU Xeon, Python 3.11).
