@@ -38,6 +38,7 @@ from .core import (
     NonPositiveParameter,
     OutOfDomain,
     SingularParameter,
+    _row_blocks,
 )
 from .simulate import SCHEMES, convergence_study, run, write_frames
 from .solutions import (
@@ -68,6 +69,20 @@ CSV_BLOCK_ROWS = 256
 
 
 def _write_csv(path: Path, header: list[str], *columns) -> None:
+    """Write the header, then one CSV row per element of the columns'
+    broadcast shape (``_csv_rows``)."""
+    with _open_csv(path, header) as fh:
+        _csv_rows(fh, *columns)
+
+
+def _open_csv(path: Path, header: list[str]):
+    """A CSV file opened for writing, its header line written."""
+    fh = open(path, "w", newline="")
+    fh.write(",".join(header) + "\r\n")
+    return fh
+
+
+def _csv_rows(fh, *columns) -> None:
     """Write one CSV row per element of the columns' broadcast shape, in C order.
 
     Floats are spelled %.17g (round-trip exact), other cells with str; nothing
@@ -91,15 +106,13 @@ def _write_csv(path: Path, header: list[str], *columns) -> None:
 
     fixed = {k: cells(c, step) for k, c in enumerate(columns) if len(c) == 1}
     row = ",".join(["{}"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, shape[0], step):
-            n = min(step, shape[0] - start)
-            block = [
-                fixed[k][:n * row_cells] if k in fixed else cells(c[start:start + n], n)
-                for k, c in enumerate(columns)
-            ]
-            fh.write("".join(map(row.format, *block)))
+    for start in range(0, shape[0], step):
+        n = min(step, shape[0] - start)
+        block = [
+            fixed[k][:n * row_cells] if k in fixed else cells(c[start:start + n], n)
+            for k, c in enumerate(columns)
+        ]
+        fh.write("".join(map(row.format, *block)))
 
 
 def _report(command: str, cfg: RunConfig, result: dict, passed: bool | None) -> str:
@@ -294,7 +307,7 @@ def _cmd_simulate(args, cfg: RunConfig, out: Path | None):
                 *zip(*(lv.values() for lv in study.levels)),
             )
 
-    sim = run(fam, p, sim_cfg)
+    sim = run(fam, p, sim_cfg, trajectory=out is not None)
     result["max_error_linf_u"] = sim.max_error_u()
     result["max_error_linf_v"] = sim.max_error_v()
     lines.append(
@@ -339,12 +352,17 @@ def _cmd_figure(args, cfg: RunConfig, out: Path | None):
     what = "u" if args.figure == 1 else "v"
 
     ts, xs = grid.ts(), grid.xs()
-    u, v = fam.eval(ts[:, None], xs[None, :])
-    field = u if args.figure == 1 else v
+    # the sample nearest the origin, read from the block that holds its row
+    i0, j0 = np.argmin(np.abs(ts)), np.argmin(np.abs(xs))
 
     out = out or Path(".")
     csv_name = f"figure{args.figure}_{what}.csv"
-    _write_csv(out / csv_name, ["t", "x", what], ts[:, None], xs, field)
+    with _open_csv(out / csv_name, ["t", "x", what]) as fh:
+        for block in _row_blocks(grid.nt, grid.nx):
+            field = fam.eval(ts[block, None], xs[None, :])[args.figure - 1]
+            _csv_rows(fh, ts[block, None], xs, field)
+            if block.start <= i0 < block.stop:
+                origin_value = float(field[i0 - block.start, j0])
     script = _GNUPLOT_TEMPLATE.format(what=what, nt=grid.nt, nx=grid.nx, csv=csv_name)
     (out / f"figure{args.figure}.gp").write_text(script)
 
@@ -353,7 +371,7 @@ def _cmd_figure(args, cfg: RunConfig, out: Path | None):
         "figure": args.figure,
         "csv": str(out / csv_name),
         "script": str(out / f"figure{args.figure}.gp"),
-        "origin_value": float(field[np.argmin(np.abs(ts)), np.argmin(np.abs(xs))]),
+        "origin_value": origin_value,
     }
     return result, None, [f"wrote {result['csv']} and {result['script']}"]
 

@@ -48,7 +48,6 @@ __all__ = [
     "g_prime",
     "ccbrt",
     "is_effectively_real",
-    "require_real",
 ]
 
 # Acceptance threshold for "effectively real" complex values.
@@ -250,17 +249,18 @@ def ccbrt(z) -> complex:
 def is_effectively_real(z) -> bool:
     """True when |Im z| <= REAL_TOL * max(1, |Re z|), elementwise for arrays."""
     z = np.asarray(z)
-    re = np.abs(np.real(z))
-    im = np.abs(np.imag(z))
-    return bool(np.all(im <= REAL_TOL * np.maximum(1.0, re)))
+    return _real_enough(np.real(z), np.imag(z))
 
 
-def require_real(z, what: str = "value"):
-    """Return the real part of z, raising ComplexResult above tolerance."""
-    z = np.asarray(z)
-    if not is_effectively_real(z):
-        worst = float(np.max(np.abs(np.imag(z))))
+def _real_enough(re, im) -> bool:
+    """is_effectively_real of re + i im, given its two real parts."""
+    return bool(np.all(np.abs(im) <= REAL_TOL * np.maximum(1.0, np.abs(re))))
+
+
+def _check_imag(re, im, what: str) -> None:
+    """Raise ComplexResult unless re + i im is effectively real; the complex
+    value is never formed."""
+    if not _real_enough(re, im):
+        worst = float(np.max(np.abs(im)))
         raise ComplexResult(f"{what} has imaginary part {worst:.3e} above tolerance")
-    out = np.real(z).astype(float, copy=True)
-    return out if out.ndim else float(out)
 

@@ -42,8 +42,10 @@ artifact decisions and reports label them as such.
 Any |u| or |v| beyond 1e6, or not finite, aborts the run with the
 offending step index; the initial state is checked as step 0.
 
-The time loop only steps: ``run`` measures the errors after it, a block
-of rows per family call, and ``convergence_study`` keeps only final states.
+The time loop only steps.  ``run`` pulls the states a block of rows at a
+time (``core._row_blocks``) and measures each block's errors, one family
+call, as soon as it is full; only a run asked for its trajectory keeps
+the (nt, nx) arrays.  ``convergence_study`` keeps only final states.
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ class _Stepper:
 
 
 def _check_blowup(u: np.ndarray, v: np.ndarray, step_index: int, t: float):
-    mag = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))))
+    mag = max(float(np.abs(u).max()), float(np.abs(v).max()))
     if not np.isfinite(mag) or mag > BLOWUP_BOUND:
         raise BlowUp(step=step_index, t=t, magnitude=mag)
 
@@ -237,14 +239,15 @@ class SimResult:
     """Trajectory plus per-time error norms against the exact family.
 
     errors columns: linf_u, l2_u, linf_v, l2_v where l2 is the
-    grid-function norm sqrt(dx * sum(err**2)); they are computed after the
-    time loop, a block of rows per family call.
+    grid-function norm sqrt(dx * sum(err**2)); each block of rows is
+    measured, one family call, as soon as it is stepped.  us and vs are
+    None for a run without a trajectory.
     """
 
     ts: np.ndarray
     xs: np.ndarray
-    us: np.ndarray  # (nt, nx)
-    vs: np.ndarray
+    us: np.ndarray | None  # (nt, nx)
+    vs: np.ndarray | None
     errors: np.ndarray  # (nt, 4)
 
     def max_error_u(self) -> float:
@@ -271,29 +274,41 @@ def _states(ic_family: SolutionFamily, p: Params, cfg: SimConfig):
 
 def _errors(ic_family: SolutionFamily, grid: Grid, ts, us, vs) -> np.ndarray:
     """linf and l2 = sqrt(dx * sum(err**2)) of u and of v against the exact
-    family, one row per entry of ts.  The family is evaluated axis-first on
-    blocks of whole rows (``core._row_blocks``)."""
-    xs = grid.xs()
+    family, one row per entry of ts.  The family is evaluated axis-first in
+    one call, so callers pass at most one block of rows (``core._row_blocks``)."""
+    ue, ve = ic_family.eval(ts[:, None], grid.xs())
     errors = np.empty((len(ts), 4))
-    for block in _row_blocks(len(ts), grid.nx):
-        ue, ve = ic_family.eval(ts[block, None], xs)
-        for col, err in ((0, us[block] - ue), (2, vs[block] - ve)):
-            errors[block, col] = np.max(np.abs(err), axis=1)
-            errors[block, col + 1] = np.sqrt(grid.dx * np.sum(err * err, axis=1))
+    for col, err in ((0, us - ue), (2, vs - ve)):
+        errors[:, col] = np.max(np.abs(err), axis=1)
+        errors[:, col + 1] = np.sqrt(grid.dx * np.sum(err * err, axis=1))
     return errors
 
 
-def run(ic_family: SolutionFamily, p: Params, cfg: SimConfig) -> SimResult:
-    """Integrate from the family's t_min state to t_max, then measure errors."""
+def run(
+    ic_family: SolutionFamily, p: Params, cfg: SimConfig, *, trajectory: bool = True
+) -> SimResult:
+    """Integrate from the family's t_min state to t_max, measuring the errors
+    of each block of rows (``core._row_blocks``) as soon as it is stepped.
+    With ``trajectory`` the blocks are rows of the returned (nt, nx) us and
+    vs; without it one block buffer is reused and us = vs = None, so memory
+    is set by the block size, not by nt."""
     grid = cfg.grid
     ts = grid.ts()
-    us = np.empty((grid.nt, grid.nx))
-    vs = np.empty((grid.nt, grid.nx))
+    blocks = _row_blocks(grid.nt, grid.nx)
+    errors = np.empty((grid.nt, 4))
+    shape = (grid.nt if trajectory else blocks[0].stop, grid.nx)
+    us, vs = np.empty(shape), np.empty(shape)
+    states = _states(ic_family, p, cfg)
     # _check_blowup turns every overflow or NaN into BlowUp, step 0 included
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (u, v) in enumerate(_states(ic_family, p, cfg)):
-            us[i], vs[i] = u, v
-        errors = _errors(ic_family, grid, ts, us, vs)
+        for block in blocks:
+            # the block's own rows of the trajectory, or the head of the buffer
+            rows = block if trajectory else slice(0, block.stop - block.start)
+            for i, (u, v) in zip(range(rows.start, rows.stop), states):
+                us[i], vs[i] = u, v
+            errors[block] = _errors(ic_family, grid, ts[block], us[rows], vs[rows])
+    if not trajectory:
+        us = vs = None
     return SimResult(ts=ts, xs=grid.xs(), us=us, vs=vs, errors=errors)
 
 

@@ -52,9 +52,9 @@ from .core import (
     OutOfDomain,
     Params,
     SingularParameter,
+    _check_imag,
     ccbrt,
     is_effectively_real,
-    require_real,
 )
 from .specfn import jacobi_sn_cn_dn
 
@@ -611,11 +611,15 @@ class NonClassicalExp(SolutionFamily):
             kr = math.sqrt(k2)
             em, ep = np.exp(-kr * x), np.exp(kr * x)
             return c1 * em + c2 * ep, kr * (c2 * ep - c1 * em)
+        # s = (c1 + c2) cos + i (c2 - c1) sin and s_x = kappa (-(c1 + c2) sin
+        # + i (c2 - c1) cos), with their imaginary parts checked, not formed
         kappa = math.sqrt(-k2)
-        s = (c1 + c2) * np.cos(kappa * x) + 1j * (c2 - c1) * np.sin(kappa * x)
-        s_x = kappa * (-(c1 + c2) * np.sin(kappa * x) + 1j * (c2 - c1) * np.cos(kappa * x))
-        s = require_real(s, "spatial factor of the exponential family")
-        s_x = require_real(s_x, "spatial derivative of the exponential family")
+        cos, sin = np.cos(kappa * x), np.sin(kappa * x)
+        s = (c1 + c2) * cos
+        _check_imag(s, (c2 - c1) * sin, "spatial factor of the exponential family")
+        s_x = kappa * (-(c1 + c2) * sin)
+        _check_imag(s_x, kappa * ((c2 - c1) * cos),
+                    "spatial derivative of the exponential family")
         return s, s_x
 
     def _decay(self, t):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -461,6 +462,22 @@ class TestFigure:
         )
         assert code == 0
         assert payload["result"]["figure"] == 1
+
+    def test_peak_memory_does_not_grow_with_nt(self, tmp_path, capsys):
+        # the surface is evaluated and written a block of rows at a time
+        def peak(nt):
+            argv = ["figure", "--figure", "1", "--out", str(tmp_path),
+                    "--param", "grid.nx=801", "--param", f"grid.nt={nt}"]
+            main(argv)  # warm up lazy imports and caches
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(41), peak(161)
+        assert large <= 1.1 * small, (small, large)
 
 
 def _reference_cell(x) -> str:

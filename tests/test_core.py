@@ -11,11 +11,11 @@ from fhnx.core import (
     Grid,
     NonPositiveParameter,
     Params,
+    _check_imag,
     ccbrt,
     g,
     g_prime,
     is_effectively_real,
-    require_real,
 )
 from fhnx.solutions import FixedPoint, fixed_points
 
@@ -85,12 +85,14 @@ class TestComplexHelpers:
         assert is_effectively_real(complex(0.0, 0.9e-9))
         assert not is_effectively_real(complex(0.0, 1.1e-9))
 
-    def test_require_real(self):
-        assert require_real(3.0 + 1e-12j) == 3.0
-        with pytest.raises(ComplexResult):
-            require_real(3.0 + 1e-3j)
-        arr = require_real(np.array([1.0 + 0j, 2.0 + 1e-13j]))
-        np.testing.assert_allclose(arr, [1.0, 2.0])
+    def test_check_imag(self):
+        # the threshold of is_effectively_real, on the two parts
+        _check_imag(3.0, 1e-12, "value")
+        _check_imag(np.array([1.0, 5.0, 0.0]), np.array([0.0, 4e-9, 0.9e-9]), "value")
+        with pytest.raises(ComplexResult, match="^value has imaginary part 1.000e-03 above"):
+            _check_imag(3.0, 1e-3, "value")
+        with pytest.raises(ComplexResult, match="^factor has imaginary part 6.000e-09 above"):
+            _check_imag(np.array([1.0, 5.0]), np.array([0.0, -6e-9]), "factor")
 
 
 class TestGrid:

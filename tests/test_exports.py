@@ -35,7 +35,7 @@ CLI_ENTRY_POINTS = (
 REMOVED = {
     "specfn": ("ellipk", "jacobi_cn_dn", "modulus_from_parameter", "parameter_from_modulus"),
     "solutions": ("SYMMETRY_GENERATORS",),
-    "core": ("csqrt",),
+    "core": ("csqrt", "require_real"),
     "simulate": ("ERROR_BLOCK",),
 }
 # RunConfig accessors whose rules moved into the config loop, and a field
@@ -47,7 +47,6 @@ REMOVED_ATTRIBUTES = {
 # tolerance parameters that no caller set to anything but the module constant
 REMOVED_PARAMETERS = {
     ("core", "is_effectively_real"): ("tol",),
-    ("core", "require_real"): ("tol",),
     ("stability", "classify_matrix"): ("tol",),
 }
 TRACED_FAMILIES = ("NonClassicalExp", "JacobiSnSteady", "TanhFront", "FixedPointState")

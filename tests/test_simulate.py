@@ -326,24 +326,70 @@ class TestErrorPass:
             ))
         return np.array(rows)
 
+    @pytest.mark.parametrize("trajectory", [True, False])
     @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
     @pytest.mark.parametrize("nx, t_max, block", [
         (41, 0.5, 1024),  # several blocks, the last one partial
+        (41, 0.05, 123),  # three rows per block, the last one partial
         (41, 0.05, 32),  # a block narrower than a row: one row per block
         (101, 0.25, _BLOCK_SAMPLES),  # the package's own block size
     ])
-    def test_blocks_match_per_row_formula(self, monkeypatch, scheme, bc, nx, t_max, block):
+    def test_blocks_match_per_row_formula(
+        self, monkeypatch, scheme, bc, nx, t_max, block, trajectory
+    ):
         monkeypatch.setattr(core, "_BLOCK_SAMPLES", block)
         fam = make_family("NonClassicalExp", FIG1)
         grid = cfl_grid(nx, t_max)
         rows = max(1, block // nx)
         # several blocks, the last one partial, or one row per block
         assert rows == 1 or (grid.nt > 3 * rows and grid.nt % rows)
-        out = run(fam, FIG1, SimConfig(grid=grid, scheme=scheme, bc=bc))
-        ref = self.per_row(fam, grid, out)
+        cfg = SimConfig(grid=grid, scheme=scheme, bc=bc)
+        full = run(fam, FIG1, cfg)
+        ref = self.per_row(fam, grid, full)
         assert np.any(ref[1:] > 0.0)
+        out = run(fam, FIG1, cfg, trajectory=trajectory)
+        assert (out.us is None and out.vs is None) == (not trajectory)
         assert np.array_equal(out.errors, ref)
+        np.testing.assert_array_equal(out.ts, full.ts)
+        np.testing.assert_array_equal(out.xs, full.xs)
+
+    @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
+    def test_blowup_in_a_later_block_is_reported_alike(self, monkeypatch, bc):
+        # two rows per block; the overshooting reaction blows up at step 6,
+        # in the fourth block, after three blocks were measured
+        monkeypatch.setattr(core, "_BLOCK_SAMPLES", 22)
+        grid = Grid(x_min=-1.0, x_max=1.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
+        cfg = SimConfig(grid=grid, scheme="semi-implicit", bc=bc)
+        fam = FixedPointState(tag="Overshoot", u_star=24.6, v_star=0.0)
+        raised = []
+        for trajectory in (True, False):
+            with pytest.raises(BlowUp) as err:
+                run(fam, FIG1, cfg, trajectory=trajectory)
+            raised.append((err.value.step, err.value.t, err.value.magnitude, str(err.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] >= 6
+
+    @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
+    def test_peak_memory_without_trajectory_does_not_grow_with_nt(self, bc):
+        # one block buffer is reused, whatever nt
+        fam = make_family("NonClassicalExp", FIG1)
+
+        def peak(nt):
+            grid = Grid(x_min=-3.0, x_max=3.0, nx=401, t_min=0.0, t_max=0.5, nt=nt)
+            cfg = SimConfig(grid=grid, scheme="semi-implicit", bc=bc)
+            run(fam, FIG1, cfg, trajectory=False)  # warm up lazy imports and caches
+            tracemalloc.start()
+            try:
+                run(fam, FIG1, cfg, trajectory=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(201), peak(801)
+        assert large <= 1.1 * small, (small, large)
+        # under a quarter of the 5.1 MB that the (801, 401) us and vs would take
+        assert large < 2 * 801 * 401 * 8 / 4, large
 
 
 class TestFrames:

@@ -362,8 +362,20 @@ class TestNonClassicalFamily:
 
     def test_complex_result_for_asymmetric_imaginary_k(self):
         fam = make_family("NonClassicalExp", FIG1, c1=1.0, c2=2.0)
-        with pytest.raises(ComplexResult):
+        kappa = math.sqrt(-fam.k_squared)
+        # Im s = (c2 - c1) sin(kappa x), largest at the ends x = -1, 1
+        worst = f"{abs(math.sin(kappa)):.3e}"
+        with pytest.raises(ComplexResult, match=(
+            f"^spatial factor of the exponential family has imaginary part {worst} "
+            "above tolerance$"
+        )):
             fam.eval(0.0, np.linspace(-1.0, 1.0, 5))
+        # at x = 0 the factor is real but Im s_x = kappa (c2 - c1) cos(0) is not
+        with pytest.raises(ComplexResult, match=(
+            f"^spatial derivative of the exponential family has imaginary part {kappa:.3e} "
+            "above tolerance$"
+        )):
+            fam.eval(0.0, 0.0)
 
     def test_real_k_asymmetric_is_fine(self):
         p = Params(1.0, 0.3, 1.0)  # k real
