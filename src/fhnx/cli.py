@@ -19,6 +19,7 @@ which exit 0) and its text-mode stdout lines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -75,11 +76,12 @@ def _write_csv(path: Path, header: list[str], *columns) -> None:
         _csv_rows(fh, *columns)
 
 
+@contextlib.contextmanager
 def _open_csv(path: Path, header: list[str]):
-    """A CSV file opened for writing, its header line written."""
-    fh = open(path, "w", newline="")
-    fh.write(",".join(header) + "\r\n")
-    return fh
+    """A CSV file open for writing, its header line written."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        yield fh
 
 
 def _csv_rows(fh, *columns) -> None:
