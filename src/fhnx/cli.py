@@ -357,11 +357,17 @@ def _cmd_figure(args, cfg: RunConfig, out: Path | None):
     # the sample nearest the origin, read from the block that holds its row
     i0, j0 = np.argmin(np.abs(ts)), np.argmin(np.abs(xs))
 
+    def surface(rows):
+        return fam.eval(ts[rows, None], xs[None, :])[args.figure - 1]
+
+    blocks = _row_blocks(grid.nt, grid.nx)
+    field = surface(blocks[0])  # before the file opens: a domain error leaves none
     out = out or Path(".")
     csv_name = f"figure{args.figure}_{what}.csv"
     with _open_csv(out / csv_name, ["t", "x", what]) as fh:
-        for block in _row_blocks(grid.nt, grid.nx):
-            field = fam.eval(ts[block, None], xs[None, :])[args.figure - 1]
+        for block in blocks:
+            if block.start:
+                field = surface(block)
             _csv_rows(fh, ts[block, None], xs, field)
             if block.start <= i0 < block.stop:
                 origin_value = float(field[i0 - block.start, j0])

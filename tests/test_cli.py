@@ -463,6 +463,12 @@ class TestFigure:
         assert code == 0
         assert payload["result"]["figure"] == 1
 
+    def test_domain_error_leaves_no_csv(self, tmp_path, capsys):
+        argv = ["figure", "--figure", "1", "--param", "family.c2=2", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert "imaginary part" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_peak_memory_does_not_grow_with_nt(self, tmp_path, capsys):
         # the surface is evaluated and written a block of rows at a time
         def peak(nt):
