@@ -290,8 +290,7 @@ def run(
     """Integrate from the family's t_min state to t_max, measuring the errors
     of each block of rows (``core._row_blocks``) as soon as it is stepped.
     With ``trajectory`` the blocks are rows of the returned (nt, nx) us and
-    vs; without it one block buffer is reused and us = vs = None, so memory
-    is set by the block size, not by nt."""
+    vs; without it one block buffer is reused and us = vs = None."""
     grid = cfg.grid
     ts = grid.ts()
     blocks = _row_blocks(grid.nt, grid.nx)
