@@ -8,18 +8,21 @@ Exit codes: 0 pass, 1 verification failure (or blow-up), 2 config error,
 files are bytewise reproducible, numbers are serialized with 17 significant
 digits, and JSON output validates against schemas/cli-output.schema.json.
 
-``main`` alone loads the config, resolves --json/--out (creating the output
-directory), prints the report and maps the outcome to the exit code.  Each
-handler ``_cmd_x(args, cfg, out)`` computes, writes its own files into
-``out`` (None without one) and returns ``(result, passed, lines)``: the
-JSON ``result`` object, the pass verdict (None for commands without one,
-which exit 0) and its text-mode stdout lines.
+``main`` alone loads the config, resolves --json/--out, prints the report
+and maps the outcome to the exit code.  Each handler ``_cmd_x(args, cfg,
+out)`` computes, writes its own files through ``out`` (an ``_Outputs``, or
+None without an output directory) and returns ``(result, passed, lines)``:
+the JSON ``result`` object, the pass verdict (None for commands without
+one, which exit 0) and its text-mode stdout lines.  A command's files take
+their names only once it has succeeded, so a failed command leaves none
+behind and replaces none.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -41,7 +44,9 @@ from .core import (
     SingularParameter,
     _row_blocks,
 )
-from .simulate import SCHEMES, convergence_study, run, write_frames
+# perfbench/tracing.py wraps run, convergence_study and write_frames where this
+# module looks them up; write_frames is not called here but stays a name for it
+from .simulate import SCHEMES, _frame_rows, _frames_header, convergence_study, run, write_frames
 from .solutions import (
     FIXED_POINT_TAGS,
     _catalog_entry,
@@ -67,6 +72,40 @@ _DOMAIN_ERRORS = (OutOfDomain, SingularParameter, NonPositiveParameter, ComplexR
 # CSV rows formatted and written at once: a block holds as many leading
 # indices (frames, or rows of a 1-D table) as fit, and never less than one
 CSV_BLOCK_ROWS = 256
+
+
+class _Outputs:
+    """The output directory of one command.  Each file is written under a
+    temporary name beside its own (``path``); leaving the ``with`` block
+    normally moves every one to its name, leaving it by an exception
+    removes them all."""
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+        self._staged: list[tuple[Path, Path]] = []
+
+    def path(self, name: str) -> Path:
+        """Where to write the file ``name``; a directory in its place is an
+        error now, before any file of the command has taken its name."""
+        final = self.directory / name
+        if final.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
+        temp = self.directory / f".{name}.{os.getpid()}.tmp"
+        self._staged.append((temp, final))
+        return temp
+
+    def __enter__(self):
+        self.directory.mkdir(parents=True, exist_ok=True)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                for temp, final in self._staged:
+                    os.replace(temp, final)
+        finally:
+            for temp, _ in self._staged:
+                temp.unlink(missing_ok=True)
 
 
 def _write_csv(path: Path, header: list[str], *columns) -> None:
@@ -136,7 +175,7 @@ def _report(command: str, cfg: RunConfig, result: dict, passed: bool | None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _cmd_list(args, cfg: RunConfig, out: Path | None):
+def _cmd_list(args, cfg: RunConfig, out: _Outputs | None):
     catalog = family_catalog()
     if args.family is not None:
         _catalog_entry(args.family)
@@ -162,7 +201,7 @@ def _cmd_list(args, cfg: RunConfig, out: Path | None):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(args, cfg: RunConfig, out: Path | None):
+def _cmd_verify(args, cfg: RunConfig, out: _Outputs | None):
     p = cfg.params()
     fam = cfg.family(p)
     grid = cfg.grid()
@@ -207,12 +246,12 @@ def _cmd_verify(args, cfg: RunConfig, out: Path | None):
             for eq, linf, l2 in (("u", rep.linf_u, rep.l2_u), ("v", rep.linf_v, rep.l2_v))
         ]
         _write_csv(
-            out / "residuals.csv",
+            out.path("residuals.csv"),
             ["family", "check", "equation", "method", "linf", "l2",
              "worst_t", "worst_x", "sample_count"],
             *zip(*rows),
         )
-        (out / "verify_report.json").write_text(_report("verify", cfg, result, passed) + "\n")
+        out.path("verify_report.json").write_text(_report("verify", cfg, result, passed) + "\n")
 
     lines = [
         "config: D={d} epsilon={epsilon} beta={beta} c={c}; grid "
@@ -234,7 +273,7 @@ def _cmd_verify(args, cfg: RunConfig, out: Path | None):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_stability(args, cfg: RunConfig, out: Path | None):
+def _cmd_stability(args, cfg: RunConfig, out: _Outputs | None):
     p = cfg.params()
     s = cfg.section("stability")
     if s["u_star"] == "auto":
@@ -264,7 +303,7 @@ def _cmd_stability(args, cfg: RunConfig, out: Path | None):
         )
         if out is not None:
             _write_csv(
-                out / f"dispersion_{idx}.csv",
+                out.path(f"dispersion_{idx}.csv"),
                 ["k", "re_sigma_1", "re_sigma_2", "im_sigma_1", "im_sigma_2"],
                 sweep.ks, *sweep.sigma.real.T, *sweep.sigma.imag.T,
             )
@@ -283,7 +322,7 @@ def _cmd_stability(args, cfg: RunConfig, out: Path | None):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args, cfg: RunConfig, out: Path | None):
+def _cmd_simulate(args, cfg: RunConfig, out: _Outputs | None):
     p = cfg.params()
     fam = cfg.family(p)
     sim_cfg = cfg.sim_config()
@@ -304,12 +343,28 @@ def _cmd_simulate(args, cfg: RunConfig, out: Path | None):
         }
         if out is not None:
             _write_csv(
-                out / "convergence.csv",
+                out.path("convergence.csv"),
                 ["nx", "nt", "dx", "dt", "err_linf_u"],
                 *zip(*(lv.values() for lv in study.levels)),
             )
 
-    sim = run(fam, p, sim_cfg, trajectory=out is not None)
+    if out is None:
+        sim = run(fam, p, sim_cfg, trajectory=False)
+    else:
+        xs = sim_cfg.grid.xs()
+        # trajectory.csv and frames.bin take each block of rows as it is stepped
+        with _open_csv(out.path("trajectory.csv"), ["t", "x", "u", "v"]) as traj, \
+                open(out.path("frames.bin"), "wb") as frames:
+            _frames_header(frames, xs, sim_cfg.grid.nt)
+
+            def write_block(ts, us, vs):
+                _csv_rows(traj, ts[:, None], xs, us, vs)
+                _frame_rows(frames, ts, us, vs)
+
+            sim = run(fam, p, sim_cfg, trajectory=False, on_block=write_block)
+        _write_csv(
+            out.path("errors.csv"), ["t", "linf_u", "l2_u", "linf_v", "l2_v"], sim.ts, *sim.errors.T
+        )
     result["max_error_linf_u"] = sim.max_error_u()
     result["max_error_linf_v"] = sim.max_error_v()
     lines.append(
@@ -318,15 +373,6 @@ def _cmd_simulate(args, cfg: RunConfig, out: Path | None):
     if "convergence" in result:
         orders = ", ".join(f"{o:.3f}" for o in result["convergence"]["orders"])
         lines.append(f"observed spatial orders: {orders}")
-
-    if out is not None:
-        _write_csv(
-            out / "errors.csv", ["t", "linf_u", "l2_u", "linf_v", "l2_v"], sim.ts, *sim.errors.T
-        )
-        _write_csv(
-            out / "trajectory.csv", ["t", "x", "u", "v"], sim.ts[:, None], sim.xs, sim.us, sim.vs
-        )
-        write_frames(out / "frames.bin", sim.ts, sim.xs, sim.us, sim.vs)
     return result, None, lines
 
 
@@ -347,7 +393,7 @@ pause -1
 """
 
 
-def _cmd_figure(args, cfg: RunConfig, out: Path | None):
+def _cmd_figure(args, cfg: RunConfig, out: _Outputs | None):
     p = cfg.params()
     fam = cfg.family(p)
     grid = cfg.grid()
@@ -360,25 +406,21 @@ def _cmd_figure(args, cfg: RunConfig, out: Path | None):
     def surface(rows):
         return fam.eval(ts[rows, None], xs[None, :])[args.figure - 1]
 
-    blocks = _row_blocks(grid.nt, grid.nx)
-    field = surface(blocks[0])  # before the file opens: a domain error leaves none
-    out = out or Path(".")
     csv_name = f"figure{args.figure}_{what}.csv"
-    with _open_csv(out / csv_name, ["t", "x", what]) as fh:
-        for block in blocks:
-            if block.start:
-                field = surface(block)
+    with _open_csv(out.path(csv_name), ["t", "x", what]) as fh:
+        for block in _row_blocks(grid.nt, grid.nx):
+            field = surface(block)
             _csv_rows(fh, ts[block, None], xs, field)
             if block.start <= i0 < block.stop:
                 origin_value = float(field[i0 - block.start, j0])
     script = _GNUPLOT_TEMPLATE.format(what=what, nt=grid.nt, nx=grid.nx, csv=csv_name)
-    (out / f"figure{args.figure}.gp").write_text(script)
+    out.path(f"figure{args.figure}.gp").write_text(script)
 
     result = {
         "family": fam.tag,
         "figure": args.figure,
-        "csv": str(out / csv_name),
-        "script": str(out / f"figure{args.figure}.gp"),
+        "csv": str(out.directory / csv_name),
+        "script": str(out.directory / f"figure{args.figure}.gp"),
         "origin_value": origin_value,
     }
     return result, None, [f"wrote {result['csv']} and {result['script']}"]
@@ -389,7 +431,7 @@ def _cmd_figure(args, cfg: RunConfig, out: Path | None):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_constraints(args, cfg: RunConfig, out: Path | None):
+def _cmd_constraints(args, cfg: RunConfig, out: _Outputs | None):
     p = cfg.params()
     s = cfg.section("ansatz")
     k_here, k_squared = nonclassical_k(p), nonclassical_k_squared(p)
@@ -466,6 +508,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--out", type=str, default=None, help="directory for output files")
+        # the directory a command writes into when neither --out nor output.dir names one
+        sp.set_defaults(default_out=None)
 
     sp = sub.add_parser("list", help="print the solution-family catalog")
     common(sp)
@@ -494,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--figure", type=int, choices=[1, 2], required=True,
                     help="1: u surface, 2: v surface")
-    sp.set_defaults(handler=_cmd_figure)
+    sp.set_defaults(handler=_cmd_figure, default_out=".")
 
     sp = sub.add_parser("constraints", help="ansatz constraint residuals + wavenumber identity")
     common(sp)
@@ -515,11 +559,10 @@ def main(argv: list[str] | None = None) -> int:
         # flags beat config values
         output = cfg.section("output")
         use_json = args.json or output["format"] == "json"
-        target = args.out if args.out is not None else (output["dir"] or None)
-        out = None if target is None else Path(target)
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-        result, passed, lines = args.handler(args, cfg, out)
+        target = args.out if args.out is not None else (output["dir"] or args.default_out)
+        out = None if target is None else _Outputs(Path(target))
+        with out or contextlib.nullcontext():
+            result, passed, lines = args.handler(args, cfg, out)
         report = [_report(args.command, cfg, result, passed)] if use_json else lines
         print(*report, sep="\n")
         sys.stdout.flush()
@@ -532,6 +575,9 @@ def main(argv: list[str] | None = None) -> int:
         # at exit cannot fail as well
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:  # includes CflViolation
         print(f"config error: {exc}", file=sys.stderr)
         return 2

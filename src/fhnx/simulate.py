@@ -22,8 +22,9 @@ Boundary handling:
 
 * ``dirichlet-from-family``: boundary nodes of u and v are prescribed from
   the attached exact family at the stage/step time t_n + (0, dt/2, dt).
-  These boundary traces are evaluated once per run, one vectorized family
-  call per stage offset the scheme reads (rk4 three, semi-implicit one).
+  These boundary traces are evaluated for a chunk of steps at a time, two
+  samples per step (``core._row_blocks``), one vectorized family call per
+  stage offset the scheme reads (rk4 three, semi-implicit one).
   The stepper writes them in one place: into each rk4 stage state before
   its right-hand side, and into the new state of every step.  The rates
   computed at the ends are overwritten unused, so the right-hand side
@@ -43,9 +44,12 @@ Any |u| or |v| beyond 1e6, or not finite, aborts the run with the
 offending step index; the initial state is checked as step 0.
 
 The time loop only steps.  ``run`` pulls the states a block of rows at a
-time (``core._row_blocks``) and measures each block's errors, one family
-call, as soon as it is full; only a run asked for its trajectory keeps
-the (nt, nx) arrays.  ``convergence_study`` keeps only final states.
+time (``core._row_blocks``), measures each block's errors, one family
+call, as soon as it is full and hands the block to an optional callback:
+the CLI appends it to ``trajectory.csv`` and ``frames.bin``.  Only a run
+asked for its trajectory keeps the (nt, nx) arrays; otherwise nothing but
+ts and the (nt, 4) error table grows with nt.  ``convergence_study`` keeps
+only final states.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from __future__ import annotations
 import os
 import struct
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,9 +136,10 @@ def _fast_len(n: int) -> int:
 
 
 class _Stepper:
-    """Bound integrator: parameters, config, boundary traces and the
-    eigenvalues of the semi-implicit matrix (with its padded inverse at a
-    slow length); no step calls the family."""
+    """Bound integrator: parameters, config, the boundary traces of one
+    chunk of steps (``trace``) and the eigenvalues of the semi-implicit
+    matrix (with its padded inverse at a slow length); no step calls the
+    family."""
 
     def __init__(self, p: Params, cfg: SimConfig, family: SolutionFamily):
         cfg.check_cfl(p)
@@ -143,14 +149,8 @@ class _Stepper:
         self.dx = grid.dx
         self.dt = grid.dt
         self.r = self.dt * p.D / self.dx**2
+        self.family = family
         self._traces = None
-        if cfg.bc == "dirichlet-from-family":
-            # stage s sits at t_n + s dt/2, not ts[n + 1]: the step lattice;
-            # semi-implicit reads only the step's end, stage 2
-            t_n = grid.ts()[:-1, None]
-            ends = grid.xs()[[0, -1]]
-            stages = (0, 1, 2) if cfg.scheme == "rk4" else (2,)
-            self._traces = {s: family.eval(t_n + s * self.dt / 2, ends) for s in stages}
         if cfg.scheme == "semi-implicit":
             # I - r L is diagonalised by the DFT of length n: circulant when
             # periodic, the odd extension (a DST-I) of the interior otherwise
@@ -162,12 +162,26 @@ class _Stepper:
             if self._pad:
                 self._kernel = np.fft.rfft(np.fft.irfft(1.0 / self._eig, n), self._pad)
 
+    def trace(self, ts: np.ndarray, steps: slice) -> None:
+        """Evaluate the Dirichlet boundary values of the given steps, one
+        vectorized family call per stage offset the scheme reads; ts holds
+        every time node.  Under periodic conditions there are none."""
+        if self.cfg.bc != "dirichlet-from-family":
+            return
+        # stage s sits at t_n + s dt/2, not ts[n + 1]: the step lattice;
+        # semi-implicit reads only the step's end, stage 2
+        t_n = ts[steps, None]
+        ends = self.cfg.grid.xs()[[0, -1]]
+        stages = (0, 1, 2) if self.cfg.scheme == "rk4" else (2,)
+        self._first = steps.start
+        self._traces = {s: self.family.eval(t_n + s * self.dt / 2, ends) for s in stages}
+
     def _boundary(self, u: np.ndarray, v: np.ndarray, stage: int, n: int):
         if self._traces is None:
             return
         bu, bv = self._traces[stage]
-        u[0], u[-1] = bu[n]
-        v[0], v[-1] = bv[n]
+        u[0], u[-1] = bu[n - self._first]
+        v[0], v[-1] = bv[n - self._first]
 
     def _circ(self, z: np.ndarray) -> np.ndarray:
         """Solve the circulant system of length n = z.size: one FFT pair at
@@ -266,10 +280,13 @@ def _states(ic_family: SolutionFamily, p: Params, cfg: SimConfig):
     u, v = ic_family.eval(ts[0], xs)  # fresh float arrays of shape (nx,)
     _check_blowup(u, v, 0, float(ts[0]))
     yield u, v
-    for n in range(cfg.grid.nt - 1):
-        u, v = stepper.advance(u, v, n)
-        _check_blowup(u, v, n + 1, float(ts[n + 1]))
-        yield u, v
+    # the boundary traces of a chunk of steps at a time, two samples per step
+    for steps in _row_blocks(cfg.grid.nt - 1, 2):
+        stepper.trace(ts, steps)
+        for n in range(steps.start, steps.stop):
+            u, v = stepper.advance(u, v, n)
+            _check_blowup(u, v, n + 1, float(ts[n + 1]))
+            yield u, v
 
 
 def _errors(ic_family: SolutionFamily, grid: Grid, ts, us, vs) -> np.ndarray:
@@ -285,12 +302,19 @@ def _errors(ic_family: SolutionFamily, grid: Grid, ts, us, vs) -> np.ndarray:
 
 
 def run(
-    ic_family: SolutionFamily, p: Params, cfg: SimConfig, *, trajectory: bool = True
+    ic_family: SolutionFamily,
+    p: Params,
+    cfg: SimConfig,
+    *,
+    trajectory: bool = True,
+    on_block: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> SimResult:
     """Integrate from the family's t_min state to t_max, measuring the errors
     of each block of rows (``core._row_blocks``) as soon as it is stepped.
     With ``trajectory`` the blocks are rows of the returned (nt, nx) us and
-    vs; without it one block buffer is reused and us = vs = None."""
+    vs; without it one block buffer is reused and us = vs = None.  Each
+    measured block is then passed to ``on_block(ts, us, vs)``, if given, as
+    its rows; those arrays are valid only during the call."""
     grid = cfg.grid
     ts = grid.ts()
     blocks = _row_blocks(grid.nt, grid.nx)
@@ -306,6 +330,8 @@ def run(
             for i, (u, v) in zip(range(rows.start, rows.stop), states):
                 us[i], vs[i] = u, v
             errors[block] = _errors(ic_family, grid, ts[block], us[rows], vs[rows])
+            if on_block is not None:
+                on_block(ts[block], us[rows], vs[rows])
     if not trajectory:
         us = vs = None
     return SimResult(ts=ts, xs=grid.xs(), us=us, vs=vs, errors=errors)
@@ -362,17 +388,29 @@ def convergence_study(
 
 def write_frames(path, ts, xs, us, vs) -> None:
     """Binary frame stream: magic "FHN1", <u4 nx, <u4 nframes, xs as <f8,
-    then per frame t, u[nx], v[nx] as <f8 (all little-endian)."""
+    then per frame t, u[nx], v[nx] as <f8 (all little-endian).  The header
+    (``_frames_header``) and the frames (``_frame_rows``) can also be
+    written apart, a block of frames at a time."""
     ts = np.asarray(ts, dtype="<f8")
-    xs = np.asarray(xs, dtype="<f8")
     us = np.asarray(us, dtype="<f8")
     vs = np.asarray(vs, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(FRAME_MAGIC)
-        fh.write(struct.pack("<II", len(xs), len(ts)))
-        fh.write(xs.tobytes())
-        for i in range(len(ts)):
-            fh.write(ts[i:i + 1].tobytes() + us[i].tobytes() + vs[i].tobytes())
+        _frames_header(fh, xs, len(ts))
+        for rows in _row_blocks(len(ts), 2 * np.size(xs) + 1):
+            _frame_rows(fh, ts[rows], us[rows], vs[rows])
+
+
+def _frames_header(fh, xs, nframes: int) -> None:
+    """The frame stream's magic, sizes and x grid; at most 2**32 - 1 frames."""
+    if nframes >= 2**32:
+        raise ConfigError(f"a frame file holds at most 2**32 - 1 frames, got {nframes}")
+    xs = np.asarray(xs, dtype="<f8")
+    fh.write(FRAME_MAGIC + struct.pack("<II", len(xs), nframes) + xs.tobytes())
+
+
+def _frame_rows(fh, ts, us, vs) -> None:
+    """Append one frame t, u[nx], v[nx] per entry of ts, in one write."""
+    fh.write(np.column_stack((ts, us, vs)).astype("<f8", copy=False).tobytes())
 
 
 def read_frames(path):

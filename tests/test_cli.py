@@ -13,13 +13,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fhnx import core
+from fhnx import cli, core
 from fhnx.cli import CSV_BLOCK_ROWS, _write_csv, main
 from fhnx.config import SCHEMA as CONFIG_SCHEMA
-from fhnx.config import load_config
+from fhnx.config import RunConfig, load_config
 from fhnx.core import ConfigError
 from fhnx.simulate import SimConfig
-from fhnx.solutions import FAMILY_TAGS, make_family
+from fhnx.solutions import FAMILY_TAGS, FixedPointState, make_family
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "cli-output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -420,6 +420,55 @@ class TestSimulate:
         for name in ("errors.csv", "trajectory.csv", "frames.bin"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_blowup_in_a_later_block_leaves_no_outputs(self, tmp_path, capsys, monkeypatch):
+        argv = ["simulate", "--scheme", "semi-implicit", "--param", "grid.x_min=-1",
+                "--param", "grid.x_max=1", "--param", "grid.nx=11", "--param", "grid.nt=41",
+                "--param", "grid.t_max=0.4"]
+        kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+        assert main([*argv, "--out", str(kept)]) == 0
+        before = {p.name: p.read_bytes() for p in kept.iterdir()}
+        assert sorted(before) == ["errors.csv", "frames.bin", "trajectory.csv"]
+        # two rows per block; the overshooting reaction blows up at step 6 or
+        # later, after three blocks were stepped and written
+        monkeypatch.setattr(core, "_BLOCK_SAMPLES", 22)
+        monkeypatch.setattr(RunConfig, "family", lambda self, p: FixedPointState(
+            tag="Overshoot", u_star=24.6, v_star=0.0))
+        written = []
+        monkeypatch.setattr(cli, "_frame_rows", lambda fh, ts, *rows: written.append(len(ts)))
+        for out in (kept, fresh):
+            written.clear()
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("verification failure: blow-up at step")
+            assert written[:3] == [2, 2, 2]
+        assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+        assert list(fresh.iterdir()) == []
+
+    def test_out_peak_memory_does_not_grow_with_nt(self, tmp_path, capsys):
+        # trajectory.csv and frames.bin take a block of rows at a time
+        def argv(nt):
+            return ["simulate", "--scheme", "semi-implicit", "--out", str(tmp_path),
+                    "--param", "grid.nx=201", "--param", f"grid.nt={nt}"]
+
+        def peak(nt):
+            tracemalloc.start()
+            try:
+                assert main(argv(nt)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(argv(101))  # warm up lazy imports and caches
+        small, large = peak(101), peak(401)
+        # under a tenth of the 16 B per sample that a kept (nt, nx) trajectory adds
+        assert large - small < 16 * (401 - 101) * 201 / 10, (small, large)
+
+    def test_frame_count_beyond_the_format_is_a_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--param", f"grid.nt={2**32}", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: a frame file holds at most 2**32 - 1 frames, got {2**32}")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFigure:
     def test_u_surface_origin_and_script(self, tmp_path, capsys):
@@ -762,6 +811,36 @@ class TestTypedFailures:
         assert captured.out == ""
         assert captured.err.startswith(message)
         assert "Traceback" not in captured.err
+
+    # an output the command cannot write: --out names a regular file, or a
+    # directory stands where one of the command's files goes; files written
+    # before it do not stay
+    @pytest.mark.parametrize("argv,blocker", [
+        *((argv, None) for argv in (["list"], ["verify", *SMALL_GRID], ["stability"],
+                                    ["simulate", *SMALL_GRID, "--param", "grid.t_max=0.01"],
+                                    ["figure", "--figure", "1", *SMALL_GRID], ["constraints"])),
+        (["verify", *SMALL_GRID], "verify_report.json"),
+        (["stability"], "dispersion_1.csv"),
+        (["simulate", *SMALL_GRID, "--param", "grid.t_max=0.01"], "trajectory.csv"),
+        (["simulate", *SMALL_GRID, "--param", "grid.t_max=0.01"], "errors.csv"),
+        (["figure", "--figure", "1", *SMALL_GRID], "figure1.gp"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else value or "out-is-a-file")
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys, argv, blocker):
+        if blocker is None:
+            out = blocked = tmp_path / "file"
+            out.write_text("kept\n")
+            message = f"config error: cannot write output: [Errno 17] File exists: '{out}'"
+        else:
+            out, blocked = tmp_path, tmp_path / blocker
+            blocked.mkdir()
+            message = f"config error: cannot write output: [Errno 21] Is a directory: '{blocked}'"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == [blocked]
+        assert (blocked.read_text() == "kept\n") if blocker is None else not any(blocked.iterdir())
 
     def test_empty_wavenumber_sweep_passes(self, capsys):
         code, payload = run_json(capsys, ["constraints", "--json", "--param", "ansatz.k_sweep=0"])

@@ -94,6 +94,42 @@ def test_cli_entry_points_are_module_attributes():
         assert callable(getattr(cli, name)), name
 
 
+def test_tracer_leaves_the_readme_simulate_operation_alone(tmp_path, capsys):
+    # the benchmark's traced passes install this tracer, unedited, on fhnx.cli
+    import importlib.util
+    import time
+
+    import fhnx.cli as cli
+    import fhnx.solutions as solutions
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    argv = ["simulate", "--param", "grid.t_max=0.5", "--param", "grid.nt=2001",
+            "--param", "grid.nx=101", "--out"]
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert cli.main([*argv, str(plain)]) == 0
+    originals = {name: getattr(cli, name) for name in CLI_ENTRY_POINTS}
+    tracer = tracing.Tracer()
+    tracer.install(cli, solutions)
+    try:
+        start = time.perf_counter()
+        code = tracer.root("cli.simulate", lambda: cli.main([*argv, str(traced)]))
+        wall = time.perf_counter() - start
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    assert {name: getattr(cli, name) for name in CLI_ENTRY_POINTS} == originals
+    for name in ("errors.csv", "trajectory.csv", "frames.bin"):
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+    metrics = tracing.layer_metrics(tracer.spans, wall, wall)
+    assert set(metrics) == set(tracing.PER_LAYER)
+    assert metrics["cli.simulate.calls"] == 1
+    assert metrics["simulate.run.rk4.dirichlet.node_steps"] == 2000 * 101
+
+
 def test_verify_calls_each_traced_check_once(monkeypatch, capsys):
     # the tracer's verify.* metrics are spans around these calls, keyed by method
     import fhnx.cli as cli

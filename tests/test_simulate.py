@@ -286,6 +286,29 @@ class TestBoundaryTraces:
         # the initial state and one error block
         assert len(calls) <= {"rk4": 5, "semi-implicit": 3}[scheme]
 
+    @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
+    def test_chunked_traces_match_one_chunk(self, monkeypatch, scheme):
+        # eight samples per block: the traces of four steps at a time
+        fam = make_family("NonClassicalExp", FIG1)
+        grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
+        cfg = SimConfig(grid=grid, scheme=scheme)
+        whole = run(fam, FIG1, cfg)
+        trace_calls = []
+
+        class Counting:
+            def eval(self, t, x):
+                if np.size(x) == 2:
+                    trace_calls.append(np.size(t))
+                return fam.eval(t, x)
+
+        monkeypatch.setattr(core, "_BLOCK_SAMPLES", 8)
+        chunked = run(Counting(), FIG1, cfg)
+        assert np.array_equal(chunked.errors, whole.errors)
+        assert np.array_equal(chunked.us, whole.us) and np.array_equal(chunked.vs, whole.vs)
+        # one call per stage offset the scheme reads and chunk of four steps
+        stages = {"rk4": 3, "semi-implicit": 1}[scheme]
+        assert trace_calls == [4] * (stages * 10)
+
     def test_yielded_state_unchanged_by_the_next_step(self):
         fam = make_family("NonClassicalExp", FIG1)
         grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
