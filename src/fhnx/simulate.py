@@ -48,7 +48,7 @@ time (``core._row_blocks``), measures each block's errors, one family
 call, as soon as it is full and hands the block to an optional callback:
 the CLI appends it to ``trajectory.csv`` and ``frames.bin``.  Only a run
 asked for its trajectory keeps the (nt, nx) arrays; otherwise nothing but
-ts and the (nt, 4) error table grows with nt.  ``convergence_study`` keeps
+ts and the (nt, 4) error table grow with nt.  ``convergence_study`` keeps
 only final states.
 """
 
