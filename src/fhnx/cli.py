@@ -43,6 +43,7 @@ from .core import (
     OutOfDomain,
     SingularParameter,
     _row_blocks,
+    _uniforms,
 )
 # perfbench/tracing.py wraps run, convergence_study and write_frames where this
 # module looks them up; write_frames is not called here but stays a name for it
@@ -307,6 +308,7 @@ def _cmd_stability(args, cfg: RunConfig, out: _Outputs | None):
                 ["k", "re_sigma_1", "re_sigma_2", "im_sigma_1", "im_sigma_2"],
                 sweep.ks, *sweep.sigma.real.T, *sweep.sigma.imag.T,
             )
+        del sweep  # before the next point's sweep is made
 
     lines = [
         f"u*={pt['u_star']:.17g} v*={pt['v_star']:.17g}: "
@@ -331,7 +333,7 @@ def _cmd_simulate(args, cfg: RunConfig, out: _Outputs | None):
     lines = [f"family: {fam.tag}  scheme: {sim_cfg.scheme}  bc: {sim_cfg.bc}"]
 
     refinements = cfg.section("sim")["refinements"]
-    if refinements >= 2:
+    if refinements:
         study = convergence_study(
             fam, p, sim_cfg.grid, refinements,
             scheme=sim_cfg.scheme, bc=sim_cfg.bc, cfl_safety=sim_cfg.cfl_safety,
@@ -431,6 +433,31 @@ def _cmd_figure(args, cfg: RunConfig, out: _Outputs | None):
 # ---------------------------------------------------------------------------
 
 
+# the wavenumber identity sweep draws (D, epsilon, beta) uniformly from these bounds
+_SWEEP_LOW = np.array((0.1, 0.01, 0.5))
+_SWEEP_HIGH = np.array((5.0, 2.0, 4.0))
+
+
+def _wavenumber_sweep(seed: int, count: int) -> float:
+    """Worst mismatch of the wavenumber identity over count seeded draws.
+
+    Draw i's (D, epsilon, beta) are the seed's uniform stream
+    (``core._uniforms``) at 3 i, 3 i + 1, 3 i + 2, scaled to the bounds, so
+    they do not depend on the block size.  The draws are filled and checked
+    a block at a time (``core._row_blocks``); the whole draw array is made
+    first, so a count that does not fit in memory fails at once.
+    """
+    draws = np.empty((count, 3))
+    worst = 0.0
+    for rows in _row_blocks(count, 3):
+        block = draws[rows]
+        block[...] = _uniforms(seed, 3 * rows.start, 3 * rows.stop).reshape(-1, 3)
+        block *= _SWEEP_HIGH - _SWEEP_LOW
+        block += _SWEEP_LOW
+        worst = float(np.max(_wavenumber(*block.T)[2], initial=worst))
+    return worst
+
+
 def _cmd_constraints(args, cfg: RunConfig, out: _Outputs | None):
     p = cfg.params()
     s = cfg.section("ansatz")
@@ -441,11 +468,8 @@ def _cmd_constraints(args, cfg: RunConfig, out: _Outputs | None):
     fam_sec = cfg.section("family")
     samples = sample_F(p, A, B, fam_sec["c1"], fam_sec["c2"], xs)
     report = check_ansatz_constraints(p, A, B, samples)
-
-    # wavenumber identity sweep (seeded): columns D, epsilon, beta
-    rng = np.random.default_rng(cfg.section("run")["seed"])
-    draws = rng.uniform((0.1, 0.01, 0.5), (5.0, 2.0, 4.0), size=(s["k_sweep"], 3))
-    worst_rel = float(np.max(_wavenumber(*draws.T)[2], initial=0.0))
+    del xs, samples  # before the sweep's draws are made
+    worst_rel = _wavenumber_sweep(cfg.section("run")["seed"], s["k_sweep"])
 
     tol = cfg.tol("constraint")
     passed = (

@@ -88,7 +88,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "scheme": (str, "rk4"),
         "bc": (str, "dirichlet-from-family"),
         "cfl_safety": (float, 0.25),
-        "refinements": (int, 0),
+        "refinements": (int, 0, (0, math.inf)),
     },
     "stability": {
         "u_star": (str, "auto"),

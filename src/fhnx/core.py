@@ -202,8 +202,9 @@ class Grid:
         return np.meshgrid(self.ts(), self.xs(), indexing="ij")
 
 
-# samples per block of grid rows in simulate's error pass and in verify's
-# checks: about 128 KB per float64 array, ten 1,601-sample rows
+# samples per block of rows in simulate's error pass, verify's checks and the
+# stability and constraints sweeps: about 128 KB per float64 array, ten
+# 1,601-sample rows
 _BLOCK_SAMPLES = 16384
 
 
@@ -213,6 +214,42 @@ def _row_blocks(n_rows: int, nx: int) -> list[slice]:
     most n_rows."""
     rows = max(1, _BLOCK_SAMPLES // nx)
     return [slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows)]
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state's increment, the
+# output mix's two multipliers and the mask of one 64-bit limb
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(key: int, start: int, stop: int) -> np.ndarray:
+    """Outputs start, ..., stop - 1 of the SplitMix64 stream whose state starts
+    at key, as uint64: output i mixes key + (i + 1) * gamma (mod 2**64), so it
+    depends on key and i alone."""
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(key)
+    for shift, mult in zip((30, 27), _MIX):
+        z ^= z >> np.uint64(shift)
+        z *= mult
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniforms(seed: int, start: int, stop: int) -> np.ndarray:
+    """Draws start, ..., stop - 1 of the uniform stream on [0, 1) seeded by
+    the integer seed >= 0: the top 53 bits of each SplitMix64 output times
+    2**-53.  The key is the seed's lowest 64-bit limb; each higher limb is
+    xored into output 0 of the stream keyed so far, so draw i depends on
+    every bit of the seed and on i alone."""
+    key, seed = seed & _MASK64, seed >> 64
+    while seed:
+        key = int(_splitmix64(key, 0, 1)[0]) ^ (seed & _MASK64)
+        seed >>= 64
+    z = _splitmix64(key, start, stop)
+    z >>= np.uint64(11)
+    return z * 2.0**-53
 
 
 def g(u):

@@ -363,7 +363,17 @@ def sample_F(p: Params, A: float, B: float, c1: float, c2: float, xs) -> FSample
     """Sample F and F'' = E**2 F on xs for the constraint checker."""
     xs = np.asarray(xs, dtype=float)
     E = solve_F_exponent(p, A, B)
-    F = c1 * np.exp(E * xs) + c2 * np.exp(-E * xs)
+
+    def term(s, c):
+        # c exp(s x), built in place
+        z = np.multiply(s, xs, out=np.empty(xs.shape, complex))
+        np.exp(z, out=z)
+        z *= c
+        return z
+
+    # no more than xs and two complex arrays of its length are alive at once
+    F = term(E, c1)
+    F += term(-E, c2)
     return FSamples(xs, F, (E * E) * F)
 
 

@@ -8,8 +8,8 @@ Perturbations proportional to exp(sigma t + i k x) about a constant state
 
 k is treated as a continuous parameter (no boundary conditions quantize
 it).  Eigenvalues come from the closed 2x2 form sigma = (tr +/- sqrt(tr**2 -
-4 det)) / 2, for all k in one array expression; the test suite cross-checks
-them against an iterative QR eigensolver.
+4 det)) / 2, in one array expression per block of k; the test suite
+cross-checks them against an iterative QR eigensolver.
 
 The unstable band is closed form.  A real 2x2 matrix has an eigenvalue with
 positive real part iff tr = a - eps beta > 0 or det = eps (1 - beta a) < 0,
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MAX_SAMPLES, ConfigError, OutOfDomain, Params, g_prime
+from .core import _MAX_SAMPLES, ConfigError, OutOfDomain, Params, _row_blocks, g_prime
 
 __all__ = [
     "jacobian_at",
@@ -116,8 +116,9 @@ def dispersion_sweep(p: Params, u_star: float, k_max: float, n: int) -> Dispersi
     """Sample sigma(k) on [0, k_max]; its band edge is k_c if k_c <= k_max.
 
     max Re sigma > 0 iff tr > 0 or det < 0, which holds iff a(k) > min(eps
-    beta, 1/beta), and a(k) falls with k (module docstring).  A non-finite
-    sample raises OutOfDomain.
+    beta, 1/beta), and a(k) falls with k (module docstring).  The matrices
+    and their eigenvalues are built a block of wavenumbers at a time
+    (``core._row_blocks``).  A non-finite sample raises OutOfDomain.
     """
     if not k_max > 0.0:
         raise ConfigError(f"k_max must be > 0, got {k_max!r}")
@@ -126,9 +127,14 @@ def dispersion_sweep(p: Params, u_star: float, k_max: float, n: int) -> Dispersi
     if n > _MAX_SAMPLES:
         raise ConfigError(f"need at most {_MAX_SAMPLES} samples, got n={n!r}")
     ks = np.linspace(0.0, k_max, int(n))
-    sigma = np.stack(eig_closed_form(jacobian_at(p, u_star, ks)), axis=-1)
-    if not np.all(np.isfinite(sigma)):
-        raise OutOfDomain(f"growth rate sigma(k) is not finite at u* = {u_star!r}")
+    sigma = np.empty((ks.size, 2), dtype=complex)
+    # a(k) falls with k, so a matrix that is not finite at some k is not
+    # finite at k_max, the sweep's largest k: it is reported there
+    jacobian_at(p, u_star, k_max)
+    for block in _row_blocks(ks.size, 4):  # a block of 2x2 matrices
+        sigma[block, 0], sigma[block, 1] = eig_closed_form(jacobian_at(p, u_star, ks[block]))
+        if not np.all(np.isfinite(sigma[block])):
+            raise OutOfDomain(f"growth rate sigma(k) is not finite at u* = {u_star!r}")
     radicand = g_prime(u_star) - min(p.epsilon * p.beta, 1.0 / p.beta)
     k_c = math.sqrt(radicand / p.D) if radicand >= 0.0 else math.inf
     return DispersionSweep(ks=ks, sigma=sigma, band_edges=(k_c,) if k_c <= k_max else ())

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -19,7 +21,9 @@ from fhnx.config import SCHEMA as CONFIG_SCHEMA
 from fhnx.config import RunConfig, load_config
 from fhnx.core import ConfigError
 from fhnx.simulate import SimConfig
-from fhnx.solutions import FAMILY_TAGS, FixedPointState, make_family
+from fhnx.solutions import FAMILY_TAGS, FixedPointState, make_family, sample_F
+from fhnx.stability import dispersion_sweep
+from fhnx.verify import check_ansatz_constraints
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "cli-output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -648,6 +652,7 @@ RULE_BREAKERS = {
     "run.seed=-1": "run.seed must be >= 0, got -1",
     "ansatz.n=0": "ansatz.n must be >= 1, got 0",
     "ansatz.k_sweep=-1": "ansatz.k_sweep must be >= 0, got -1",
+    "sim.refinements=-3": "sim.refinements must be >= 0, got -3",
     "output.format=xml": "output.format must be csv or json, got 'xml'",
 }
 
@@ -700,6 +705,65 @@ class TestConstraints:
                                   "--param", "ansatz.k_sweep=50",
                                   "--param", "run.seed=7"])
         assert p3["result"]["wavenumber"]["sweep_worst_rel"] != p1["result"]["wavenumber"]["sweep_worst_rel"]
+
+    @pytest.mark.parametrize("seed", [0, 7, 10**30])
+    def test_output_does_not_depend_on_block_size(self, capsys, monkeypatch, seed):
+        # the constraint maxima and the sweep's draws are folded block by block
+        argv = ["constraints", "--json", "--param", "ansatz.k_sweep=50",
+                "--param", f"run.seed={seed}"]
+        _, whole = run_json(capsys, argv)
+        monkeypatch.setattr(core, "_BLOCK_SAMPLES", 22)  # 5 samples, 7 draws
+        _, blocked = run_json(capsys, argv)
+        assert blocked == whole
+        assert whole["result"]["wavenumber"]["sweep_worst_rel"] <= 1e-12
+
+
+def _peak_bytes(fn) -> int:
+    fn()  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _constraints_peak(*params):
+    argv = ["constraints", "--json", *(a for q in params for a in ("--param", q))]
+
+    def command():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    return _peak_bytes(command)
+
+
+def _check_peak(n):
+    p = load_config().params()
+    A = -p.epsilon * p.beta / 3.0
+    samples = sample_F(p, A, 0.0, 1.0, 1.0, np.linspace(-2.0, 2.0, n))
+    return _peak_bytes(lambda: check_ansatz_constraints(p, A, 0.0, samples))
+
+
+# size -> peak bytes, and the bytes per unit of size of the O(n) arrays made:
+# the check gets its samples; the sweep makes ks and the complex (n, 2)
+# sigma; the command makes xs, F and F'' (one float and two complex per
+# sample) and the (k_sweep, 3) draws
+GROWTH_CASES = {
+    "check_ansatz_constraints": (_check_peak, 0),
+    "dispersion_sweep": (lambda n: _peak_bytes(
+        lambda: dispersion_sweep(load_config().params(), 0.0, 5.0, n)), 40),
+    "constraints ansatz.n": (lambda n: _constraints_peak(f"ansatz.n={n}", "ansatz.k_sweep=0"), 40),
+    "constraints ansatz.k_sweep": (lambda n: _constraints_peak(f"ansatz.k_sweep={n}"), 24),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROWTH_CASES))
+def test_working_set_grows_only_by_its_arrays(case):
+    # temporaries are made a block at a time, whatever the size
+    peak, per_unit = GROWTH_CASES[case]
+    small, large = 20_000, 80_000
+    low, high = peak(small), peak(large)
+    assert high - low <= 1.01 * per_unit * (large - small) + 0.01 * low, (low, high)
 
 
 # Values at the edges of the float range and out-of-range counts must end in
@@ -777,6 +841,12 @@ TYPED_FAILURES = [
     (["verify", "--param", "family.tag=FixedPointCardanoB", "--param", "params.beta=1e300"], 3,
      "domain error: Cardano B radicand overflows float64 at beta = 1e+300"),
     (["constraints", "--param", "run.seed=-1"], 2, "config error: run.seed must be >= 0, got -1"),
+    (["simulate", "--param", "sim.refinements=1", "--param", "grid.t_max=0.5",
+      "--param", "grid.nt=2001", "--param", "grid.nx=101"], 2,
+     "config error: need at least 2 refinements to observe an order"),
+    (["simulate", "--refinements", "-3", "--param", "grid.t_max=0.5",
+      "--param", "grid.nt=2001", "--param", "grid.nx=101"], 2,
+     "config error: sim.refinements must be >= 0, got -3"),
     # sizes: numpy cannot allocate 10**17 float64 samples; above sys.maxsize // 8
     # it would refuse the array as "too big", so the config refuses it first
     *((argv, 2, "config error: not enough memory for the configured sizes: Unable to allocate")

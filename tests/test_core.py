@@ -12,6 +12,8 @@ from fhnx.core import (
     NonPositiveParameter,
     Params,
     _check_imag,
+    _splitmix64,
+    _uniforms,
     ccbrt,
     g,
     g_prime,
@@ -122,3 +124,28 @@ class TestGrid:
         with pytest.raises(ConfigError):
             Grid(**kwargs)
 
+
+
+class TestUniformStream:
+    def test_splitmix64_reference_outputs(self):
+        # the first outputs of SplitMix64 seeded with 0 and with 1234567
+        assert _splitmix64(0, 0, 3).tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert _splitmix64(1234567, 0, 3).tolist() == [
+            0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64, 10**30])
+    def test_draw_depends_on_seed_and_index_alone(self, seed):
+        whole = _uniforms(seed, 0, 40)
+        assert whole.dtype == np.float64
+        assert np.all((whole >= 0.0) & (whole < 1.0))
+        assert np.array_equal(_uniforms(seed, 13, 29), whole[13:29])
+        assert len(_uniforms(seed, 5, 5)) == 0
+
+    def test_every_limb_of_the_seed_counts(self):
+        draws = {bytes(_uniforms(seed, 0, 4)) for seed in
+                 (1, 2**64 + 1, 2**128 + 1, 10**30, 10**30 + 2**64)}
+        assert len(draws) == 5
+        # below 2**64 the key is the seed: draws are the top 53 bits of the outputs
+        assert np.array_equal(_uniforms(1234567, 0, 3),
+                              (_splitmix64(1234567, 0, 3) >> np.uint64(11)) * 2.0**-53)

@@ -171,12 +171,16 @@ def test_families_define_their_own_eval_methods():
 
 def test_cli_import_loads_neither_thread_pool_nor_fft():
     # start-up cost: numpy.fft is imported only when a semi-implicit solve runs;
-    # CSV files are written by cli._write_csv, not by the csv module
+    # CSV files are written by cli._write_csv, not by the csv module; the
+    # constraints sweep draws from core._uniforms, not from numpy.random
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     probe = ("import sys, fhnx.cli; "
-             "print(sorted({'concurrent.futures', 'csv', 'numpy.fft'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+             "code = fhnx.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+             "print(code, sorted({'concurrent.futures', 'csv', 'numpy.fft', 'numpy.random'} "
+             "& set(sys.modules)))")
+    for argv in ([], ["constraints"]):
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0 []", argv

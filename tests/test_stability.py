@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fhnx import core
 from fhnx.core import ConfigError, OutOfDomain, Params
 from fhnx.solutions import fixed_points
 from fhnx.stability import (
@@ -192,6 +193,28 @@ class TestDispersion:
         p = Params(D=1.03, epsilon=1e200, beta=2.0)
         with pytest.raises(OutOfDomain, match="u\\* = 0.0"):
             dispersion_sweep(p, 0.0, 5.0, 11)
+
+    @pytest.mark.parametrize("u_star,k_max,message", [
+        (0.0, 5.0, None),
+        (0.0, 1.4e154, "D k\\*\\*2 overflows float64 at k = 1.4e\\+154"),  # only near k_max
+        (1e200, 5.0, "not finite at u\\* = 1e\\+200$"),
+    ])
+    def test_blocks_give_the_whole_sweep(self, monkeypatch, u_star, k_max, message):
+        # each block of wavenumbers gives the same bits, or the same error,
+        # as one block of all of them
+        def sweep():
+            if message is None:
+                return dispersion_sweep(FIG1, u_star, k_max, 101)
+            with pytest.raises(OutOfDomain, match=message):
+                dispersion_sweep(FIG1, u_star, k_max, 101)
+
+        whole = sweep()
+        monkeypatch.setattr(core, "_BLOCK_SAMPLES", 28)  # 7 wavenumbers
+        blocked = sweep()
+        if message is None:
+            assert blocked.ks.tobytes() == whole.ks.tobytes()
+            assert blocked.sigma.tobytes() == whole.sigma.tobytes()
+            assert blocked.band_edges == whole.band_edges
 
     @pytest.mark.parametrize("k_max,n", [(5.0, 1), (0.0, 11), (-1.0, 11)])
     def test_bad_sample_range_rejected(self, k_max, n):
