@@ -125,7 +125,6 @@ class TestGrid:
             Grid(**kwargs)
 
 
-
 class TestUniformStream:
     def test_splitmix64_reference_outputs(self):
         # the first outputs of SplitMix64 seeded with 0 and with 1234567
