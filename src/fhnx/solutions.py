@@ -391,7 +391,8 @@ class SolutionFamily:
     as passed, so open grids (``ts[:, None]``, ``xs[None, :]``) evaluate
     every transcendental once per axis.  Every method returns fresh,
     writable float arrays of the broadcast shape of (t, x), none aliasing
-    another (shape () for scalar arguments).
+    another (shape () for scalar arguments); the error pass of
+    ``simulate.run`` overwrites ``eval``'s with its differences.
     """
 
     tag: str = ""
@@ -639,7 +640,14 @@ class NonClassicalExp(SolutionFamily):
     def eval(self, t, x):
         s, _ = self._space(x)
         u = self._decay(t) * s
-        return _on_grid(t, x, u, u * (1.5 / self.params.beta - u * u / 3.0))
+        # v = u (3/(2 beta) - u**2/3) in one array: -(u**2/3) + 3/(2 beta) is
+        # the same float; augmented operators, not ``out=``, so a scalar
+        # (t, x) still gives scalars
+        v = u * u
+        v /= -3.0
+        v += 1.5 / self.params.beta
+        v *= u
+        return _on_grid(t, x, u, v)
 
     def eval_derivs(self, t, x):
         s, s_x = self._space(x)

@@ -1,5 +1,11 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,7 +315,9 @@ class TestBoundaryTraces:
         stages = {"rk4": 3, "semi-implicit": 1}[scheme]
         assert trace_calls == [4] * (stages * 10)
 
-    def test_yielded_state_unchanged_by_the_next_step(self):
+    @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
+    @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
+    def test_yielded_state_unchanged_by_the_next_step(self, scheme, bc):
         fam = make_family("NonClassicalExp", FIG1)
         grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
         stage_0_times = grid.ts()[:-1, None]
@@ -324,7 +332,7 @@ class TestBoundaryTraces:
                     v += 1.0
                 return u, v
 
-        states = _states(StageZeroShifted(), FIG1, SimConfig(grid=grid))
+        states = _states(StageZeroShifted(), FIG1, SimConfig(grid=grid, scheme=scheme, bc=bc))
         held = [(u, v, u.copy(), v.copy()) for u, v in states]
         assert len(held) == grid.nt
         for u, v, u_then, v_then in held:
@@ -377,6 +385,19 @@ class TestErrorPass:
         np.testing.assert_array_equal(out.ts, full.ts)
         np.testing.assert_array_equal(out.xs, full.xs)
 
+    @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
+    @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
+    def test_trajectory_is_the_stepped_states_bit_for_bit(self, monkeypatch, scheme, bc):
+        # three rows per block: the error pass of each block must leave its
+        # rows as the stepper yielded them
+        monkeypatch.setattr(core, "_BLOCK_SAMPLES", 123)
+        fam = make_family("NonClassicalExp", FIG1)
+        cfg = SimConfig(grid=cfl_grid(41, 0.05), scheme=scheme, bc=bc)
+        out = run(fam, FIG1, cfg)
+        states = [(u.copy(), v.copy()) for u, v in _states(fam, FIG1, cfg)]
+        assert out.us.tobytes() == np.stack([u for u, _ in states]).tobytes()
+        assert out.vs.tobytes() == np.stack([v for _, v in states]).tobytes()
+
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
     def test_blowup_in_a_later_block_is_reported_alike(self, monkeypatch, bc):
         # two rows per block; the overshooting reaction blows up at step 6,
@@ -413,6 +434,36 @@ class TestErrorPass:
         assert large <= 1.1 * small, (small, large)
         # under a quarter of the 5.1 MB that the (801, 401) us and vs would take
         assert large < 2 * 801 * 401 * 8 / 4, large
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap faults")
+    def test_blocks_fault_no_pages_back_in(self):
+        # glibc trims the heap top once a block's temporaries are freed, so a
+        # block that allocates them again faults their pages back in.  A fresh
+        # interpreter: this one has freed arrays large enough to have raised
+        # glibc's mmap and trim thresholds, which hides the trims.
+        probe = textwrap.dedent("""
+            import resource
+            from fhnx.core import Grid, Params
+            from fhnx.simulate import SimConfig, run
+            from fhnx.solutions import make_family
+
+            p = Params(D=1.03, epsilon=0.3, beta=2.0, c=0.0)
+            grid = Grid(x_min=-3.0, x_max=3.0, nx=401, t_min=0.0, t_max=0.5, nt=2001)
+            for tag, bc in (("NonClassicalExp", "dirichlet-from-family"),
+                            ("FixedPointPlus", "periodic")):
+                fam = make_family(tag, p)
+                cfg = SimConfig(grid=grid, scheme="semi-implicit", bc=bc)
+                run(fam, p, cfg, trajectory=False)  # warm up lazy imports and caches
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                run(fam, p, cfg, trajectory=False)
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, check=True).stdout
+        faults = [int(n) for n in out.split()]
+        assert len(faults) == 2 and max(faults) < 1000, faults
 
 
 class TestFrames:
