@@ -178,62 +178,54 @@ def fixed_points(p: Params) -> list[FixedPoint]:
 # ---------------------------------------------------------------------------
 
 
-def _cardano_a(p: Params) -> tuple[complex, complex]:
+def _cardano_a(p: Params) -> tuple[complex, complex, float]:
     b = p.beta
     try:
         rad = -(4.0 * b**3 - 12.0 * b**2 + 12.0 * b - 4.0) / b
     except OverflowError:
         raise OutOfDomain(f"Cardano A radicand overflows float64 at beta = {b!r}") from None
-    w = ccbrt(4.0 * cmath.sqrt(rad) * b * b)
-    if w == 0:
-        raise SingularParameter("beta = 1 collapses the Cardano denominator")
+    w3 = 4.0 * cmath.sqrt(rad) * b * b
+    if abs(w3) < np.finfo(float).tiny:
+        raise SingularParameter(f"Cardano A: W**3 is 0 or subnormal at beta = {b!r}")
+    w = ccbrt(w3)
     u = w / (2.0 * b) + 2.0 * (b - 1.0) / w
     v = -(1.0 / b) * (-w / (2.0 * b)) + (1.0 / b) * (2.0 * (b - 1.0) / w)
-    return u, v
+    return u, v, max(abs(w / (2.0 * b)), abs(2.0 * (b - 1.0) / w))
 
 
-def _cardano_b(p: Params) -> tuple[complex, complex]:
+def _cardano_b(p: Params) -> tuple[complex, complex, float]:
     b = p.beta
     try:
         rad = -((b - 1.0) ** 3) / b
     except OverflowError:
         raise OutOfDomain(f"Cardano B radicand overflows float64 at beta = {b!r}") from None
-    vv = ccbrt(cmath.sqrt(rad) * b * b)
-    if vv == 0:
-        raise SingularParameter("beta = 1 collapses the Cardano denominator")
+    vv3 = cmath.sqrt(rad) * b * b
+    if abs(vv3) < np.finfo(float).tiny:
+        raise SingularParameter(f"Cardano B: V**3 is 0 or subnormal at beta = {b!r}")
+    vv = ccbrt(vv3)
     u = (vv * vv + b * b - b) / (vv * b)
     v = -(-u) / b
-    return u, v
+    return u, v, max(abs(vv * vv), abs(b * b - b)) / abs(vv * b)
 
 
-def _plus_minus(p: Params, sign: float) -> tuple[complex, complex]:
+def _plus_minus(p: Params, sign: float) -> tuple[complex, complex, float]:
     b = p.beta
     b_sqrt_b = b * cmath.sqrt(b)
     if b_sqrt_b == 0:
         raise SingularParameter(f"beta * sqrt(beta) underflows to 0 at beta = {b!r}")
     u = sign * cmath.sqrt(3.0) * cmath.sqrt(b - 1.0) / cmath.sqrt(b)
     v = sign * cmath.sqrt(3.0) * cmath.sqrt(b - 1.0) / b_sqrt_b
-    return u, v
-
-
-# tag -> its radical formula, p -> (u, v) in complex arithmetic
-_CLOSED_FORMS = {
-    "FixedPointZero": lambda p: (0j, 0j),
-    "FixedPointPlus": lambda p: _plus_minus(p, +1.0),
-    "FixedPointMinus": lambda p: _plus_minus(p, -1.0),
-    "FixedPointCardanoA": _cardano_a,
-    "FixedPointCardanoB": _cardano_b,
-}
-FIXED_POINT_TAGS = tuple(_CLOSED_FORMS)
+    return u, v, abs(u)
 
 
 def _closed_form_match(p: Params, which: str):
     """(u, v, unforced oracle root index, roots) of one closed form, as
     ``eval_fixed_point_closed_form`` checks it; the index and roots are None,
     and the cubic is not solved, when u is not effectively real."""
-    if which not in _CLOSED_FORMS:
+    if which not in FIXED_POINT_TAGS:
         raise FhnxError(f"unknown fixed-point tag {which!r}")
-    u, v = _CLOSED_FORMS[which](p)
+    # in complex arithmetic; size is the magnitude of the terms u sums, the scale of its rounding
+    u, v, size = _FAMILIES[which][1]["closed_form"](p)
     if not is_effectively_real(u):
         return u, v, None, None
     # the catalog's fixed points are states of the unforced model, whatever c the run uses
@@ -241,6 +233,8 @@ def _closed_form_match(p: Params, which: str):
     for idx, fp in enumerate(roots):
         if abs(u.real - fp.u) <= 1e-9 * max(1.0, abs(fp.u)):
             return u, v, idx, roots
+    if any(abs(u.real - fp.u) <= 1e-9 * size for fp in roots):
+        raise OutOfDomain(f"{which}: terms of {size:.3g} cancel to rounding at beta = {p.beta!r}")
     raise BranchMismatch(f"{which}: effectively-real value {u.real!r} matches no cubic root")
 
 
@@ -248,9 +242,9 @@ def eval_fixed_point_closed_form(p: Params, which: str) -> tuple[complex, comple
     """Evaluate one radical fixed-point formula literally (principal branches).
 
     When the value is effectively real it must coincide with a root of the
-    cubic oracle to 1e-9; otherwise BranchMismatch is raised.  Values with a
-    genuine imaginary part (e.g. the Plus amplitude below beta = 1) are
-    returned as-is.
+    cubic oracle to 1e-9, else BranchMismatch (OutOfDomain if it misses by no
+    more than the rounding of the terms it sums).  Values with a genuine
+    imaginary part (e.g. the Plus amplitude below beta = 1) are returned as-is.
     """
     return _closed_form_match(p, which)[:2]
 
@@ -393,6 +387,11 @@ class SolutionFamily:
     writable float arrays of the broadcast shape of (t, x), none aliasing
     another (shape () for scalar arguments); the error pass of
     ``simulate.run`` overwrites ``eval``'s with its differences.
+
+    ``tag``, ``steady`` and ``notes`` are class facts, not constructor
+    arguments (but for ``FixedPointState.tag``); ``make_family`` alone
+    validates constants and makes them floats.  Each traced class defines its
+    own ``eval*`` methods, as ``perfbench/tracing.py`` wraps ``cls.__dict__``.
     """
 
     tag: str = ""
@@ -434,7 +433,7 @@ class FixedPointState(SolutionFamily):
     v_star: float
     root_index: int | None = None
     roots: tuple[FixedPoint, ...] = ()
-    steady: bool = True
+    steady = True
 
     def eval(self, t, x):
         return _on_grid(t, x, self.u_star, self.v_star)
@@ -446,14 +445,6 @@ class FixedPointState(SolutionFamily):
         return _on_grid(t, x, 0.0, 0.0)
 
 
-def _fixed_point_family(p: Params, tag: str) -> FixedPointState:
-    _, _, idx, roots = _closed_form_match(p, tag)
-    if idx is None:
-        raise OutOfDomain(f"{tag}: closed form is not effectively real")
-    fp = roots[idx]
-    return FixedPointState(tag=tag, u_star=fp.u, v_star=fp.v, root_index=idx, roots=roots)
-
-
 @dataclass(frozen=True, kw_only=True)
 class TanhFront(SolutionFamily):
     """Steady front u = -sign * a tanh(b (x + x0)), v = u / beta."""
@@ -461,7 +452,7 @@ class TanhFront(SolutionFamily):
     params: Params
     sign: int
     x0: float = 0.0
-    steady: bool = True
+    steady = True
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
@@ -473,7 +464,6 @@ class TanhFront(SolutionFamily):
             raise OutOfDomain(
                 f"tanh front steepness squared overflows float64 at D = {self.params.D!r}"
             )
-        object.__setattr__(self, "x0", float(self.x0))
 
     @property
     def tag(self) -> str:  # type: ignore[override]
@@ -519,19 +509,15 @@ class JacobiSnSteady(SolutionFamily):
     params: Params
     c1: float = 1.0
     c2: float = 1.0
-    tag: str = "JacobiSnSteady"
-    steady: bool = True
-    notes: tuple[str, ...] = (
-        "v taken as u/beta from the steady-state assumption",
-    )
     modulus: float = field(init=False)
     amplitude: float = field(init=False)
     steepness: float = field(init=False)
     z0: float = field(init=False)
+    tag = "JacobiSnSteady"
+    steady = True
+    notes = ("v taken as u/beta from the steady-state assumption",)
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", float(self.c1))
-        object.__setattr__(self, "c2", float(self.c2))
         p = self.params
         b = p.beta
         five = 5.0 * b - 6.0
@@ -597,13 +583,10 @@ class NonClassicalExp(SolutionFamily):
     params: Params
     c1: float = 1.0
     c2: float = 1.0
-    tag: str = "NonClassicalExp"
-    steady: bool = False
     k_squared: float = field(init=False)
+    tag = "NonClassicalExp"
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", float(self.c1))
-        object.__setattr__(self, "c2", float(self.c2))
         nonclassical_k(self.params)  # raises unless k is finite and consistent
         object.__setattr__(self, "k_squared", nonclassical_k_squared(self.params))
 
@@ -670,32 +653,33 @@ class NonClassicalExp(SolutionFamily):
 # Catalog and factory
 # ---------------------------------------------------------------------------
 
-# tag -> (class, the keyword arguments the tag fixes, catalog text); the
-# class says whether the family is steady and holds the defaults of its
-# constants
+# The one table of per-tag facts: tag -> (class, what the tag fixes, catalog
+# text).  A fixed point's tag fixes its radical closed form, any other tag
+# the keyword arguments it passes to its class; the class says whether the
+# family is steady and holds the defaults of its constants.
 _FAMILIES = {
-    "FixedPointZero": (FixedPointState, {}, {
+    "FixedPointZero": (FixedPointState, {"closed_form": lambda p: (0j, 0j, 0.0)}, {
         "formula": "u = 0, v = 0",
         "constant_names": [],
         "domain": "any valid parameters",
     }),
-    "FixedPointPlus": (FixedPointState, {}, {
+    "FixedPointPlus": (FixedPointState, {"closed_form": lambda p: _plus_minus(p, +1.0)}, {
         "formula": "u = sqrt(3) sqrt(beta-1) / sqrt(beta), v = u/beta",
         "constant_names": [],
         "domain": "beta >= 1 (amplitude real)",
     }),
-    "FixedPointMinus": (FixedPointState, {}, {
+    "FixedPointMinus": (FixedPointState, {"closed_form": lambda p: _plus_minus(p, -1.0)}, {
         "formula": "u = -sqrt(3) sqrt(beta-1) / sqrt(beta), v = u/beta",
         "constant_names": [],
         "domain": "beta >= 1 (amplitude real)",
     }),
-    "FixedPointCardanoA": (FixedPointState, {}, {
+    "FixedPointCardanoA": (FixedPointState, {"closed_form": _cardano_a}, {
         "formula": "Cardano radical form of a cubic root, "
         "u = W/(2 beta) + 2(beta-1)/W with W**3 = 4 beta**2 sqrt(-4(beta-1)**3/beta)",
         "constant_names": [],
         "domain": "beta != 1; complex intermediates cancel to a real root",
     }),
-    "FixedPointCardanoB": (FixedPointState, {}, {
+    "FixedPointCardanoB": (FixedPointState, {"closed_form": _cardano_b}, {
         "formula": "Cardano radical form of a cubic root, "
         "u = (V**2 + beta**2 - beta)/(V beta) with V**3 = beta**2 sqrt(-(beta-1)**3/beta)",
         "constant_names": [],
@@ -727,6 +711,7 @@ _FAMILIES = {
     }),
 }
 FAMILY_TAGS = tuple(_FAMILIES)
+FIXED_POINT_TAGS = tuple(tag for tag, (cls, _, _) in _FAMILIES.items() if cls is FixedPointState)
 
 
 def family_catalog() -> dict:
@@ -742,8 +727,9 @@ def _catalog_entry(tag: str) -> dict:
 
 
 def make_family(tag: str, p: Params, **constants) -> SolutionFamily:
-    """Construct a catalog family from its tag and constant map; an unknown
-    tag or constant raises ConfigError."""
+    """Construct a catalog family from its tag and constant map, each constant
+    a float; an unknown tag or constant raises ConfigError, and a fixed point
+    whose closed form is not effectively real OutOfDomain."""
     allowed = set(_catalog_entry(tag)["constant_names"])
     unknown = set(constants) - allowed
     if unknown:
@@ -753,5 +739,8 @@ def make_family(tag: str, p: Params, **constants) -> SolutionFamily:
         )
     cls, fixed, _ = _FAMILIES[tag]
     if cls is FixedPointState:
-        return _fixed_point_family(p, tag)
-    return cls(params=p, **fixed, **constants)
+        _, _, idx, roots = _closed_form_match(p, tag)
+        if idx is None:
+            raise OutOfDomain(f"{tag}: closed form is not effectively real")
+        return cls(tag=tag, u_star=roots[idx].u, v_star=roots[idx].v, root_index=idx, roots=roots)
+    return cls(params=p, **fixed, **{name: float(value) for name, value in constants.items()})

@@ -840,6 +840,16 @@ TYPED_FAILURES = [
      "domain error: Cardano A radicand overflows float64 at beta = 1e+300"),
     (["verify", "--param", "family.tag=FixedPointCardanoB", "--param", "params.beta=1e300"], 3,
      "domain error: Cardano B radicand overflows float64 at beta = 1e+300"),
+    # far below beta = 1 the Cardano terms cancel to rounding, then W**3 underflows
+    (["verify", "--param", "family.tag=FixedPointCardanoB", "--param", "params.beta=1e-12",
+      *SMALL_GRID], 3,
+     "domain error: FixedPointCardanoB: terms of 1e+06 cancel to rounding at beta = 1e-12"),
+    (["verify", "--param", "family.tag=FixedPointCardanoA", "--param", "params.beta=1e-100",
+      *SMALL_GRID], 3,
+     "domain error: FixedPointCardanoA: terms of 1e+50 cancel to rounding at beta = 1e-100"),
+    (["verify", "--param", "family.tag=FixedPointCardanoA", "--param", "params.beta=1e-300",
+      *SMALL_GRID], 3,
+     "domain error: Cardano A: W**3 is 0 or subnormal at beta = 1e-300"),
     (["constraints", "--param", "run.seed=-1"], 2, "config error: run.seed must be >= 0, got -1"),
     (["simulate", "--param", "sim.refinements=1", "--param", "grid.t_max=0.5",
       "--param", "grid.nt=2001", "--param", "grid.nx=101"], 2,

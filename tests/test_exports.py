@@ -169,6 +169,24 @@ def test_families_define_their_own_eval_methods():
             assert callable(cls.__dict__.get(meth)), f"{fam}.{meth}"
 
 
+def test_family_facts_are_class_attributes_not_fields():
+    # tag, steady and notes are facts of each class; only FixedPointState,
+    # one class under five catalog tags, takes its tag as an argument
+    import dataclasses
+
+    import fhnx.solutions as solutions
+    from fhnx.core import Params
+
+    for fam in TRACED_FAMILIES:
+        fields = {f.name for f in dataclasses.fields(getattr(solutions, fam))}
+        assert not fields & {"steady", "notes"}, fam
+        assert ("tag" in fields) == (fam == "FixedPointState"), fam
+    with pytest.raises(TypeError):
+        solutions.NonClassicalExp(params=Params(D=1.03, epsilon=0.3, beta=2.0), steady=True)
+    assert solutions.FIXED_POINT_TAGS == ("FixedPointZero", "FixedPointPlus", "FixedPointMinus",
+                                         "FixedPointCardanoA", "FixedPointCardanoB")
+
+
 def test_cli_import_loads_neither_thread_pool_nor_fft():
     # start-up cost: numpy.fft is imported only when a semi-implicit solve runs;
     # CSV files are written by cli._write_csv, not by the csv module; the

@@ -163,6 +163,18 @@ class TestClosedForms:
         with pytest.raises(FhnxError, match="unknown fixed-point tag 'TanhFrontPlus'"):
             eval_fixed_point_closed_form(FIG1, "TanhFrontPlus")
 
+    def test_cardano_rounding_far_below_beta_one_is_no_branch_error(self):
+        # below beta = 1 the only root is 0, and the Cardano terms, each about
+        # 1/sqrt(beta), cancel to their rounding; far enough down W**3 and
+        # V**3 underflow.  Neither is a branch error.
+        for k in range(1281):  # beta = 10**(-k/4) from 1 down to 1e-320
+            p = Params(1.0, 0.3, 10.0 ** (-k / 4))
+            for tag in ("FixedPointCardanoA", "FixedPointCardanoB"):
+                try:
+                    make_family(tag, p)
+                except (OutOfDomain, SingularParameter):  # domain errors, exit 3
+                    pass
+
 
 class TestTanhFront:
     def test_zero_crossing_at_minus_x0(self):
@@ -549,6 +561,16 @@ class TestFamilySurface:
         assert set(constants) <= set(info["constant_names"])
         for name, value in constants.items():
             assert getattr(fam, name) == value
+
+    @pytest.mark.parametrize("tag,constants", [
+        ("TanhFrontPlus", dict(x0=1)),
+        ("JacobiSnSteady", dict(c1=0, c2=1)),
+        ("NonClassicalExp", dict(c1=1, c2=2)),
+    ])
+    def test_constants_become_floats(self, tag, constants):
+        fam = make_family(tag, FIG1, **constants)
+        for name, value in constants.items():
+            assert type(getattr(fam, name)) is float and getattr(fam, name) == value
 
     def test_unknown_tag_and_constants_rejected(self):
         from fhnx.core import ConfigError
