@@ -8,15 +8,15 @@ time integrators:
   dt <= cfl_safety * dx**2 / (2 D), checked up front.
 * ``semi-implicit``: diffusion implicit (backward Euler on D u_xx),
   reaction explicit, first order in time.  The constant matrix
-  I - r L (r = dt D / dx**2) is diagonalised exactly by Fourier modes of
-  a length n, with eigenvalues 1 + 4 r sin**2(pi k / n) (Press et al.,
-  Numerical Recipes, 3rd ed., section 20.4).  When n has no prime factor
-  above 11, each step is one real FFT pair and a division by the
-  eigenvalues.  At any other n numpy's pocketfft takes a slow generic
-  pass or falls back to Bluestein's algorithm, so the step is instead one
-  circular convolution with the first column of the inverse, zero-padded
-  to a length m >= 2n - 1 that has no prime factor above 11 and folded
-  back to n.
+  I - r L (r = dt D / dx**2), or the ring it is solved on, is a circulant
+  of some length n, diagonalised exactly by Fourier modes with
+  eigenvalues 1 + 4 r sin**2(pi k / n) (Press et al., Numerical Recipes,
+  3rd ed., section 20.4).  When n has no prime factor above 11, each step
+  is one real FFT pair and a division by the eigenvalues.  At any other n
+  numpy's pocketfft takes a slow generic pass or falls back to
+  Bluestein's algorithm, so the step is instead one circular convolution
+  with the first column of the inverse, zero-padded to a length
+  m >= 2n - 1 that has no prime factor above 11 and folded back to n.
 
 Boundary handling:
 
@@ -32,8 +32,14 @@ Boundary handling:
   solutions are unbounded-domain objects, so this removes boundary-induced
   error and the interior comparison isolates scheme error.  The
   semi-implicit interior system (prescribed ends moved to the
-  right-hand side) is solved as a DST-I: the circulant solve of its odd
-  extension, n = 2 (nx - 1).
+  right-hand side) is solved on a ring of n = nx - 1 nodes whose node 0,
+  standing for both ends, is pinned to zero: the ring's circulant rows
+  1..n-1 are the interior rows, and a source mu e_0 chosen so that
+  u_0 = 0 is a one-row Sherman-Morrison update (Sherman & Morrison, Ann.
+  Math. Statist. 1950), the capacitance-matrix method of Buzbee, Dorr,
+  George & Golub (SIAM J. Numer. Anal. 1971).  The ring's constant mode
+  (eigenvalue 1) is split off and the update restores it in closed form,
+  so no cancellation grows with r.
 * ``periodic``: wrapped Laplacian, no prescribed nodes; the semi-implicit
   matrix is circulant of length n = nx.
 
@@ -141,8 +147,12 @@ def _fast_len(n: int) -> int:
 class _Stepper:
     """Bound integrator: parameters, config, the boundary traces of one
     chunk of steps (``trace``) and the eigenvalues of the semi-implicit
-    matrix (with its padded inverse at a slow length); no step calls the
-    family."""
+    circulant (with its padded inverse at a slow length); no step calls
+    the family.  Under Dirichlet ends the circulant is the ring of nx - 1
+    nodes, whose node 0 is pinned to zero (Sherman & Morrison 1950;
+    Buzbee, Dorr, George & Golub 1971): its eigenvalues drop the constant
+    mode, and its inverse's first column ``_col`` and capacitance ``_cap``
+    restore it."""
 
     def __init__(self, p: Params, cfg: SimConfig, family: SolutionFamily):
         cfg.check_cfl(p)
@@ -156,10 +166,16 @@ class _Stepper:
         self._traces = None
         if cfg.scheme == "semi-implicit":
             # I - r L is diagonalised by the DFT of length n: circulant when
-            # periodic, the odd extension (a DST-I) of the interior otherwise
-            n = grid.nx if cfg.bc == "periodic" else 2 * (grid.nx - 1)
+            # periodic, the ring of the interior and one pinned node otherwise
+            n = grid.nx if cfg.bc == "periodic" else grid.nx - 1
             k = np.arange(n // 2 + 1)
             self._eig = 1.0 + 4.0 * self.r * np.sin(np.pi * k / n) ** 2
+            if cfg.bc != "periodic":
+                # an infinite eigenvalue drops the ring's constant mode
+                # (eigenvalue 1, inverse 1/n per entry); _solve adds it back
+                self._eig[0] = np.inf
+                self._col = np.fft.irfft(1.0 / self._eig, n)
+                self._cap = 1.0 + n * self._col[0]  # > 1: _col[0] > 0
             # the padded length, or 0 where n is fast and one FFT pair solves
             self._pad = 0 if _fast_len(n) == n else _fast_len(2 * n - 1)
             if self._pad:
@@ -186,30 +202,39 @@ class _Stepper:
         u[0], u[-1] = bu[n - self._first]
         v[0], v[-1] = bv[n - self._first]
 
-    def _circ(self, z: np.ndarray) -> np.ndarray:
+    def _circ(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         """Solve the circulant system of length n = z.size: one FFT pair at
         a fast n, otherwise the zero-padded convolution with the inverse's
-        first column, its wrapped tail folded back onto the head."""
+        first column, its wrapped tail folded back onto the head.  Also
+        returns the sum of z, the constant term of its transform."""
         n, m = z.size, self._pad
+        zf = np.fft.rfft(z, m or n)
         if not m:
-            return np.fft.irfft(np.fft.rfft(z) / self._eig, n)
-        y = np.fft.irfft(np.fft.rfft(z, m) * self._kernel, m)
+            return np.fft.irfft(zf / self._eig, n), zf[0].real
+        y = np.fft.irfft(zf * self._kernel, m)
         y[:n - 1] += y[n:2 * n - 1]
-        return y[:n]
+        return y[:n], zf[0].real
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (I - r L) u = b; Dirichlet end rows keep b's values."""
+        """Solve (I - r L) u = b; Dirichlet end rows keep b's values, and
+        the interior is written into b."""
         if self.cfg.bc == "periodic":
-            return self._circ(b)
-        m = b.size - 2
-        z = np.zeros(2 * m + 2)
-        z[1:m + 1] = b[1:-1]
+            return self._circ(b)[0]
+        # the ring: node 0 stands for both ends, whose values move to the
+        # right-hand side, and is pinned to 0 by a source mu e_0
+        z = b[:-1].copy()
+        z[0] = 0.0
         z[1] += self.r * b[0]
-        z[m] += self.r * b[-1]
-        z[m + 2:] = -z[m:0:-1]
-        u = b.copy()
-        u[1:-1] = self._circ(z)[1:m + 1]
-        return u
+        z[-1] += self.r * b[-1]
+        # with the constant mode split off, the ring's inverse is
+        # y + (s/n) 1 on z and _col + 1/n on e_0; u_0 = 0 fixes mu = -lam
+        y, s = self._circ(z)
+        col, cap = self._col, self._cap
+        lam = (s + z.size * y[0]) / cap
+        alpha = (s * col[0] - y[0]) / cap  # (s - lam) / n without the cancellation
+        y -= lam * col
+        np.add(y[1:], alpha, out=b[1:-1])
+        return b
 
     def _rhs(self, stage: int, n: int, u: np.ndarray, v: np.ndarray):
         """(u_t, v_t) after writing the stage's prescribed ends into u and v."""

@@ -182,6 +182,8 @@ def _cardano_a(p: Params) -> tuple[complex, complex, float]:
     b = p.beta
     try:
         rad = -(4.0 * b**3 - 12.0 * b**2 + 12.0 * b - 4.0) / b
+        if not math.isfinite(rad):  # the division by a subnormal beta
+            raise OverflowError
     except OverflowError:
         raise OutOfDomain(f"Cardano A radicand overflows float64 at beta = {b!r}") from None
     w3 = 4.0 * cmath.sqrt(rad) * b * b
@@ -197,6 +199,8 @@ def _cardano_b(p: Params) -> tuple[complex, complex, float]:
     b = p.beta
     try:
         rad = -((b - 1.0) ** 3) / b
+        if not math.isfinite(rad):  # the division by a subnormal beta
+            raise OverflowError
     except OverflowError:
         raise OutOfDomain(f"Cardano B radicand overflows float64 at beta = {b!r}") from None
     vv3 = cmath.sqrt(rad) * b * b

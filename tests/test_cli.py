@@ -840,6 +840,11 @@ TYPED_FAILURES = [
      "domain error: Cardano A radicand overflows float64 at beta = 1e+300"),
     (["verify", "--param", "family.tag=FixedPointCardanoB", "--param", "params.beta=1e300"], 3,
      "domain error: Cardano B radicand overflows float64 at beta = 1e+300"),
+    # at a subnormal beta the radicand's division by beta overflows to inf
+    *((["verify", "--param", f"family.tag=FixedPointCardano{form}",
+        "--param", f"params.beta={beta}", *SMALL_GRID], 3,
+       f"domain error: Cardano {form} radicand overflows float64 at beta = {beta}")
+      for form, beta in (("A", "1e-310"), ("A", "1.78e-308"), ("B", "1e-310"), ("B", "5e-309"))),
     # far below beta = 1 the Cardano terms cancel to rounding, then W**3 underflows
     (["verify", "--param", "family.tag=FixedPointCardanoB", "--param", "params.beta=1e-12",
       *SMALL_GRID], 3,

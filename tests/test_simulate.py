@@ -24,6 +24,7 @@ from fhnx.core import (
 from fhnx.simulate import (
     SimConfig,
     _states,
+    _Stepper,
     convergence_study,
     read_frames,
     run,
@@ -234,18 +235,25 @@ class TestLinearSolvers:
     """One semi-implicit step against a dense solve of (I - r L) u = rhs."""
 
     # one interior node, even sizes, then sizes whose circulant length n
-    # (nx periodic, 2 (nx - 1) Dirichlet) has a prime factor above 11 and
-    # takes the padded solve: periodic 17, 97, 106 and the benchmark's
-    # 1601, Dirichlet 54
-    NX = (3, 4, 17, 64, 54, 97, 106, 1601)
+    # (nx periodic, the ring's nx - 1 Dirichlet) has a prime factor above 11
+    # and takes the padded solve: periodic 17, 97, 102, 106, 1602 and the
+    # benchmark's 1601, Dirichlet 54, 102 and 1602
+    NX = (3, 4, 17, 64, 54, 97, 102, 106, 1601, 1602)
+    # about the benchmark's r = 36.6, then two far beyond it, where a
+    # pinned node without its constant mode split off cancels to a few
+    # digits
+    R = (35.0, 1e8, 1e12)
 
     @staticmethod
-    def step_and_dense_solve(nx, bc):
+    def step_and_dense_solve(nx, bc, r):
         fam = make_family("NonClassicalExp", FIG1)
         dx = 6.0 / (nx - 1)
-        dt = 35.0 * dx * dx / FIG1.D  # r = 35
+        dt = r * dx * dx / FIG1.D
         grid = Grid(x_min=-3.0, x_max=3.0, nx=nx, t_min=0.0, t_max=dt, nt=2)
-        out = run(fam, FIG1, SimConfig(grid=grid, scheme="semi-implicit", bc=bc))
+        # the stepper itself: at large r the explicit terms alone pass the
+        # blow-up bound that run() checks
+        stepper = _Stepper(FIG1, SimConfig(grid=grid, scheme="semi-implicit", bc=bc), fam)
+        stepper.trace(grid.ts(), slice(0, 1))
 
         xs = grid.xs()
         r = grid.dt * FIG1.D / grid.dx**2
@@ -254,20 +262,46 @@ class TestLinearSolvers:
         dense = (1.0 + 2.0 * r) * np.eye(nx) - r * np.eye(nx, k=1) - r * np.eye(nx, k=-1)
         if bc == "periodic":
             dense[0, -1] = dense[-1, 0] = -r
+            # each column sums to 1, so mean(u) = mean(rhs): adding 2 r mean(u)
+            # to every row lifts the constant mode's eigenvalue from 1 to
+            # 1 + 2 r, and the dense solve no longer loses log10(4 r) digits
+            dense += 2.0 * r / nx
+            rhs += 2.0 * r * rhs.mean()
         else:
             dense[[0, -1]] = np.eye(nx)[[0, -1]]
             rhs[0], rhs[-1] = fam.eval(grid.t_min + grid.dt, xs[[0, -1]])[0]
-        return out.us[1], np.linalg.solve(dense, rhs)
+        return stepper.advance(u0, v0, 0)[0], np.linalg.solve(dense, rhs)
+
+    def assert_steps_match_dense_solves(self, bc):
+        for nx in self.NX:
+            for r in self.R:
+                got, want = self.step_and_dense_solve(nx, bc, r)
+                # beyond r = 35, relative to max|want|: the dense solve itself
+                # keeps about 11 digits at nx = 1602, its condition number
+                # growing as nx**2
+                tol = 1e-12 if r == 35.0 else 1e-10 * np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol,
+                                           err_msg=f"nx = {nx}, r = {r}")
 
     def test_dirichlet_step_matches_dense_solve(self):
-        for nx in self.NX:
-            got, want = self.step_and_dense_solve(nx, "dirichlet-from-family")
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        self.assert_steps_match_dense_solves("dirichlet-from-family")
 
     def test_periodic_step_matches_dense_solve(self):
-        for nx in self.NX:
-            got, want = self.step_and_dense_solve(nx, "periodic")
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        self.assert_steps_match_dense_solves("periodic")
+
+    # the ring's length nx - 1 where it is fast, else its padded length
+    @pytest.mark.parametrize("nx,length", [(1601, 1600), (54, 105), (102, 210)])
+    def test_dirichlet_step_transforms_the_ring(self, monkeypatch, nx, length):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def recording(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        self.step_and_dense_solve(nx, "dirichlet-from-family", 35.0)
+        assert lengths and set(lengths) == {length}
 
 
 class TestBoundaryTraces:
