@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import json
 import math
 import os
@@ -508,7 +509,11 @@ def _cmd_constraints(args, cfg: RunConfig, out: _Outputs | None):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every later
+    ``main`` in the process.  Handlers are bound into it then, so patching
+    ``cli._cmd_*`` after the first ``main`` has no effect."""
     parser = argparse.ArgumentParser(
         prog="fhnx",
         description=(

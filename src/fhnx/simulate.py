@@ -11,30 +11,31 @@ time integrators:
   I - r L (r = dt D / dx**2), or the ring it is solved on, is a circulant
   of some length n, diagonalised exactly by Fourier modes with
   eigenvalues 1 + 4 r sin**2(pi k / n) (Press et al., Numerical Recipes,
-  3rd ed., section 20.4).  When n has no prime factor above 11, each step
-  is one real FFT pair and a division by the eigenvalues.  At any other n
-  numpy's pocketfft takes a slow generic pass or falls back to
-  Bluestein's algorithm, so the step is instead one circular convolution
-  with the first column of the inverse, zero-padded to a length
-  m >= 2n - 1 that has no prime factor above 11 and folded back to n.
+  3rd ed., section 20.4).  Each step is one real FFT pair and a product
+  with the inverse's spectrum.  When n has a prime factor above 11,
+  numpy's pocketfft would take a slow generic pass or fall back to
+  Bluestein's algorithm, so that spectrum is taken of the inverse's first
+  column zero-padded to a length m >= 2n - 1 with no prime factor above
+  11, and the product's wrapped tail is folded back to n.
 
 Boundary handling:
 
 * ``dirichlet-from-family``: boundary nodes of u and v are prescribed from
-  the attached exact family at the stage/step time t_n + (0, dt/2, dt).
-  These boundary traces are evaluated for a chunk of steps at a time, two
-  samples per step (``core._row_blocks``), one vectorized family call per
-  stage offset the scheme reads (rk4 three, semi-implicit one).
-  The stepper writes them in one place: into each rk4 stage state before
-  its right-hand side, and into the new state of every step.  The rates
-  computed at the ends are overwritten unused, so the right-hand side
-  uses the wrapped end stencil under both conditions.  The exact
-  solutions are unbounded-domain objects, so this removes boundary-induced
-  error and the interior comparison isolates scheme error.  The
-  semi-implicit interior system (prescribed ends moved to the
-  right-hand side) is solved on a ring of n = nx - 1 nodes whose node 0,
-  standing for both ends, is pinned to zero: the ring's circulant rows
-  1..n-1 are the interior rows, and a source mu e_0 chosen so that
+  the attached exact family at the step's midpoint ts[n] + dt/2 and at the
+  grid's next time node ts[n + 1]; rk4's first stage reads the ends the
+  previous step wrote at ts[n].  These traces are evaluated for a chunk of
+  steps at a time, two samples per step (``core._row_blocks``), one
+  vectorized family call per stage time the scheme reads (rk4 two,
+  semi-implicit one).  The stepper writes them in one place: into each
+  later rk4 stage state before its right-hand side, and into the new state
+  of every step.  The rates computed at the ends are overwritten unused,
+  so the right-hand side uses the wrapped end stencil under both
+  conditions.  The exact solutions are unbounded-domain objects, so this
+  removes boundary-induced error and the interior comparison isolates
+  scheme error.  The semi-implicit interior system (prescribed ends moved
+  to the right-hand side) is solved on a ring of n = nx - 1 nodes whose
+  node 0, standing for both ends, is pinned to zero: the ring's circulant
+  rows 1..n-1 are the interior rows, and a source mu e_0 chosen so that
   u_0 = 0 is a one-row Sherman-Morrison update (Sherman & Morrison, Ann.
   Math. Statist. 1950), the capacitance-matrix method of Buzbee, Dorr,
   George & Golub (SIAM J. Numer. Anal. 1971).  The ring's constant mode
@@ -133,7 +134,8 @@ class SimConfig:
 
 def _fast_len(n: int) -> int:
     """The least length >= n with no prime factor above 11: pocketfft's
-    good size, the length its Bluestein fallback pads to."""
+    complex good size, the length its Bluestein fallback pads to (numpy's
+    real transforms have dedicated passes only for 2, 3, 4 and 5)."""
     while True:
         k = n
         for p in (2, 3, 5, 7, 11):
@@ -146,13 +148,13 @@ def _fast_len(n: int) -> int:
 
 class _Stepper:
     """Bound integrator: parameters, config, the boundary traces of one
-    chunk of steps (``trace``) and the eigenvalues of the semi-implicit
-    circulant (with its padded inverse at a slow length); no step calls
-    the family.  Under Dirichlet ends the circulant is the ring of nx - 1
-    nodes, whose node 0 is pinned to zero (Sherman & Morrison 1950;
-    Buzbee, Dorr, George & Golub 1971): its eigenvalues drop the constant
-    mode, and its inverse's first column ``_col`` and capacitance ``_cap``
-    restore it."""
+    chunk of steps (``trace``) and the spectrum ``_kernel`` of the
+    semi-implicit circulant's inverse at the transform length ``_m``; no
+    step calls the family.  Under Dirichlet ends the circulant is the ring
+    of nx - 1 nodes, whose node 0 is pinned to zero (Sherman & Morrison
+    1950; Buzbee, Dorr, George & Golub 1971): its inverse drops the
+    constant mode, and the inverse's first column ``_col`` and capacitance
+    ``_cap`` restore it."""
 
     def __init__(self, p: Params, cfg: SimConfig, family: SolutionFamily):
         cfg.check_cfl(p)
@@ -163,56 +165,56 @@ class _Stepper:
         self.dt = grid.dt
         self.r = self.dt * p.D / self.dx**2
         self.family = family
-        self._traces = None
+        self._traces = {}
         if cfg.scheme == "semi-implicit":
             # I - r L is diagonalised by the DFT of length n: circulant when
             # periodic, the ring of the interior and one pinned node otherwise
             n = grid.nx if cfg.bc == "periodic" else grid.nx - 1
+            if not np.isfinite(4.0 * self.r):
+                raise ConfigError(
+                    f"semi-implicit eigenvalues 1 + 4 r overflow float64 at r = dt D / dx**2"
+                    f" = {self.r!r} (dt = {self.dt!r}, D = {p.D!r}, dx = {self.dx!r})"
+                )
             k = np.arange(n // 2 + 1)
-            self._eig = 1.0 + 4.0 * self.r * np.sin(np.pi * k / n) ** 2
+            inv = 1.0 / (1.0 + 4.0 * self.r * np.sin(np.pi * k / n) ** 2)
             if cfg.bc != "periodic":
-                # an infinite eigenvalue drops the ring's constant mode
-                # (eigenvalue 1, inverse 1/n per entry); _solve adds it back
-                self._eig[0] = np.inf
-                self._col = np.fft.irfft(1.0 / self._eig, n)
-                self._cap = 1.0 + n * self._col[0]  # > 1: _col[0] > 0
-            # the padded length, or 0 where n is fast and one FFT pair solves
-            self._pad = 0 if _fast_len(n) == n else _fast_len(2 * n - 1)
-            if self._pad:
-                self._kernel = np.fft.rfft(np.fft.irfft(1.0 / self._eig, n), self._pad)
+                inv[0] = 0.0  # drop the ring's constant mode; _solve adds it back
+            self._col = np.fft.irfft(inv, n)
+            self._cap = 1.0 + n * self._col[0]  # > 1; read only by the Dirichlet ring
+            # n where it is fast, else a fast length that holds _col * z unwrapped
+            self._m = n if _fast_len(n) == n else _fast_len(2 * n - 1)
+            self._kernel = inv if self._m == n else np.fft.rfft(self._col, self._m)
 
     def trace(self, ts: np.ndarray, steps: slice) -> None:
         """Evaluate the Dirichlet boundary values of the given steps, one
-        vectorized family call per stage offset the scheme reads; ts holds
+        vectorized family call per stage time the scheme reads; ts holds
         every time node.  Under periodic conditions there are none."""
         if self.cfg.bc != "dirichlet-from-family":
             return
-        # stage s sits at t_n + s dt/2, not ts[n + 1]: the step lattice;
-        # semi-implicit reads only the step's end, stage 2
-        t_n = ts[steps, None]
-        ends = self.cfg.grid.xs()[[0, -1]]
-        stages = (0, 1, 2) if self.cfg.scheme == "rk4" else (2,)
+        # stage 1 sits at the step's midpoint, stage 2 at the next time node;
+        # semi-implicit reads only stage 2
+        t_n, ends = ts[steps, None], self.cfg.grid.xs()[[0, -1]]
+        times = {1: t_n + self.dt / 2, 2: ts[steps.start + 1:steps.stop + 1, None]}
+        stages = (1, 2) if self.cfg.scheme == "rk4" else (2,)
         self._first = steps.start
-        self._traces = {s: self.family.eval(t_n + s * self.dt / 2, ends) for s in stages}
+        self._traces = {s: self.family.eval(times[s], ends) for s in stages}
 
     def _boundary(self, u: np.ndarray, v: np.ndarray, stage: int, n: int):
-        if self._traces is None:
+        if stage not in self._traces:
             return
         bu, bv = self._traces[stage]
         u[0], u[-1] = bu[n - self._first]
         v[0], v[-1] = bv[n - self._first]
 
     def _circ(self, z: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solve the circulant system of length n = z.size: one FFT pair at
-        a fast n, otherwise the zero-padded convolution with the inverse's
-        first column, its wrapped tail folded back onto the head.  Also
-        returns the sum of z, the constant term of its transform."""
-        n, m = z.size, self._pad
-        zf = np.fft.rfft(z, m or n)
-        if not m:
-            return np.fft.irfft(zf / self._eig, n), zf[0].real
+        """Solve the circulant system of length n = z.size: z's transform at
+        length m times the inverse's spectrum, m > n only at a slow n, where
+        the spectrum is the zero-padded first column's and the wrapped tail
+        y[n:] folds back onto the head.  Also returns the sum of z."""
+        n, m = z.size, self._m
+        zf = np.fft.rfft(z, m)
         y = np.fft.irfft(zf * self._kernel, m)
-        y[:n - 1] += y[n:2 * n - 1]
+        y[:m - n] += y[n:]  # empty when m == n
         return y[:n], zf[0].real
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
@@ -240,20 +242,17 @@ class _Stepper:
         """(u_t, v_t) after writing the stage's prescribed ends into u and v."""
         self._boundary(u, v, stage, n)
         p = self.p
-        lap = np.empty_like(u)
-        lap[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / self.dx**2
-        lap[0] = (u[-1] - 2.0 * u[0] + u[1]) / self.dx**2
-        lap[-1] = (u[-2] - 2.0 * u[-1] + u[0]) / self.dx**2
+        wrapped = np.concatenate((u[-1:], u, u[:1]))
+        lap = (wrapped[:-2] - 2.0 * u + wrapped[2:]) / self.dx**2
         du = p.D * lap - v + g(u)
         dv = p.epsilon * (-p.beta * v + p.c + u)
         return du, dv
 
     def advance(self, u: np.ndarray, v: np.ndarray, n: int):
-        """Step n, from ts[n] to ts[n] + dt; returns new (u, v)."""
+        """Step n, from ts[n] to ts[n + 1]; returns new (u, v)."""
         dt = self.dt
         if self.cfg.scheme == "rk4":
-            # stage 0 writes its ends into copies: the caller's state stays
-            u, v = u.copy(), v.copy()
+            # stage 0 reads the state's own ends, written at ts[n]
             k1u, k1v = self._rhs(0, n, u, v)
             k2u, k2v = self._rhs(1, n, u + dt / 2 * k1u, v + dt / 2 * k1v)
             k3u, k3v = self._rhs(1, n, u + dt / 2 * k2u, v + dt / 2 * k2v)

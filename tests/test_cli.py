@@ -856,6 +856,12 @@ TYPED_FAILURES = [
       *SMALL_GRID], 3,
      "domain error: Cardano A: W**3 is 0 or subnormal at beta = 1e-300"),
     (["constraints", "--param", "run.seed=-1"], 2, "config error: run.seed must be >= 0, got -1"),
+    # r = dt D / dx**2 is finite but 4 r is not: the eigenvalue 1 + 4 r sin**2 would be inf
+    *((["simulate", "--scheme", "semi-implicit", "--param", f"sim.bc={bc}",
+        "--param", "params.d=1e306"], 2,
+       "config error: semi-implicit eigenvalues 1 + 4 r overflow float64 at "
+       "r = dt D / dx**2 = 5.555555555555557e+307 (dt = 0.05, D = 1e+306, dx = 0.03)")
+      for bc in ("dirichlet-from-family", "periodic")),
     (["simulate", "--param", "sim.refinements=1", "--param", "grid.t_max=0.5",
       "--param", "grid.nt=2001", "--param", "grid.nx=101"], 2,
      "config error: need at least 2 refinements to observe an order"),
@@ -932,6 +938,31 @@ class TestTypedFailures:
         assert code == 0
         assert payload["result"]["wavenumber"]["sweep_count"] == 0
         assert payload["result"]["wavenumber"]["sweep_worst_rel"] == 0.0
+
+
+class TestLargeFiniteStepRatio:
+    @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
+    def test_semi_implicit_runs_where_4r_is_finite(self, capsys, bc):
+        # r = 5.6e304: three decades below the ratio TYPED_FAILURES rejects
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--scheme", "semi-implicit", "--param", f"sim.bc={bc}",
+                         "--param", "params.d=1e303"]) == 0
+        assert caught == []
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestParserSharedAcrossMains:
+    def test_second_main_reports_defaults_after_fewer_params(self, capsys):
+        # one argparse tree serves both runs; its append default stays empty
+        code, first = run_json(capsys, ["stability", "--json", "--param", "params.beta=3.0",
+                                        "--param", "params.epsilon=0.5"])
+        assert code == 0 and first["config"]["params"]["epsilon"] == 0.5
+        code, second = run_json(capsys, ["stability", "--json", "--param", "params.beta=3.0"])
+        assert code == 0
+        assert second["config"] == load_config(None, ["params.beta=3.0"]).resolved()
+        assert second["config"]["params"]["epsilon"] == 0.3
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestClosedStdout:

@@ -306,7 +306,7 @@ class TestLinearSolvers:
 
 class TestBoundaryTraces:
     @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
-    def test_ends_follow_step_lattice_and_eval_count(self, scheme):
+    def test_ends_follow_time_nodes_and_eval_count(self, scheme):
         fam = make_family("NonClassicalExp", FIG1)
         calls = []
 
@@ -315,16 +315,20 @@ class TestBoundaryTraces:
                 calls.append(t)
                 return fam.eval(t, x)
 
-        grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
+        grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.5, nt=41)
         assert grid.nt * grid.nx <= _BLOCK_SAMPLES
         out = run(Counting(), FIG1, SimConfig(grid=grid, scheme=scheme))
         ts, xs, ends = out.ts, out.xs, [0, -1]
-        ue, ve = fam.eval(ts[:-1, None] + grid.dt, xs[ends])
+        ue, ve = fam.eval(ts[1:, None], xs[ends])
         assert np.all(out.us[1:, ends] == ue)
         assert np.all(out.vs[1:, ends] == ve)
-        # the stage traces the scheme reads (rk4 three, semi-implicit one),
+        # the grid has a row where t_n + dt, one ulp off ts[n + 1], moves an
+        # end value, so the ends tell the two time lattices apart
+        lattice_u, lattice_v = fam.eval(ts[:-1, None] + grid.dt, xs[ends])
+        assert np.any(lattice_u != ue) or np.any(lattice_v != ve)
+        # the stage traces the scheme reads (rk4 two, semi-implicit one),
         # the initial state and one error block
-        assert len(calls) <= {"rk4": 5, "semi-implicit": 3}[scheme]
+        assert len(calls) <= {"rk4": 4, "semi-implicit": 3}[scheme]
 
     @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
     def test_chunked_traces_match_one_chunk(self, monkeypatch, scheme):
@@ -346,7 +350,7 @@ class TestBoundaryTraces:
         assert np.array_equal(chunked.errors, whole.errors)
         assert np.array_equal(chunked.us, whole.us) and np.array_equal(chunked.vs, whole.vs)
         # one call per stage offset the scheme reads and chunk of four steps
-        stages = {"rk4": 3, "semi-implicit": 1}[scheme]
+        stages = {"rk4": 2, "semi-implicit": 1}[scheme]
         assert trace_calls == [4] * (stages * 10)
 
     @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
