@@ -129,33 +129,38 @@ def _csv_rows(fh, *columns) -> None:
     """Write one CSV row per element of the columns' broadcast shape, in C order.
 
     Floats are spelled %.17g (round-trip exact), other cells with str; nothing
-    is quoted.  Leading indices (frames, or rows of a 1-D table) are formatted
+    is quoted.  Each cell carries its separator (a comma, or CRLF in the last
+    column).  Leading indices (frames, or rows of a 1-D table) are formatted
     and written in blocks of about CSV_BLOCK_ROWS rows, each column's cells in
-    one pass; a column of leading length 1 is formatted only once.
+    one pass, interleaved by slice assignment and written as one join; a
+    column of leading length 1 is formatted only once.
     """
     shape = np.broadcast_shapes(*map(np.shape, columns)) or (1,)
     columns = [np.reshape(c, (1,) * (len(shape) - np.ndim(c)) + np.shape(c)) for c in columns]
-    row_cells = math.prod(shape[1:])
+    ncols, row_cells = len(columns), math.prod(shape[1:])
     step = max(1, min(shape[0], CSV_BLOCK_ROWS // row_cells))
 
-    def cells(col, n):
-        """The strings of col's cells, broadcast over n leading indices."""
-        spell = "%.17g".__mod__ if col.dtype.kind == "f" else str
-        strings = list(map(spell, col.ravel().tolist()))
+    def cells(k, col, n):
+        """The strings of column k's cells with their separator, broadcast
+        over n leading indices."""
+        sep = "\r\n" if k == ncols - 1 else ","
+        values = col.ravel().tolist()
+        if col.dtype.kind == "f":
+            strings = list(map(("%.17g" + sep).__mod__, values))
+        else:
+            strings = [str(x) + sep for x in values]
         if col.shape == (n, *shape[1:]):
             return strings
         strings = np.array(strings, dtype=object).reshape(col.shape)
         return np.broadcast_to(strings, (n, *shape[1:])).ravel().tolist()
 
-    fixed = {k: cells(c, step) for k, c in enumerate(columns) if len(c) == 1}
-    row = ",".join(["{}"] * len(columns)) + "\r\n"
+    fixed = {k: cells(k, c, step) for k, c in enumerate(columns) if len(c) == 1}
     for start in range(0, shape[0], step):
         n = min(step, shape[0] - start)
-        block = [
-            fixed[k][:n * row_cells] if k in fixed else cells(c[start:start + n], n)
-            for k, c in enumerate(columns)
-        ]
-        fh.write("".join(map(row.format, *block)))
+        out = [""] * (n * row_cells * ncols)
+        for k, c in enumerate(columns):
+            out[k::ncols] = fixed[k][:n * row_cells] if k in fixed else cells(k, c[start:start + n], n)
+        fh.write("".join(out))
 
 
 def _report(command: str, cfg: RunConfig, result: dict, passed: bool | None) -> str:

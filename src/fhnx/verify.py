@@ -160,19 +160,24 @@ class _Norms:
     def add(self, rows: slice, rs) -> None:
         """Fold in the residuals on ``rows``: a block, or one row standing
         for every row of a steady family, whose squares are summed a block
-        of rows at a time."""
+        of rows at a time.  Such a row's full blocks all hold the same
+        squares, so one full block and the last partial block are summed
+        once each and their totals appended per block."""
         nx = self.xs.size
 
-        def sum_sq(sq, block):
-            return float(np.sum(np.ascontiguousarray(
-                np.broadcast_to(sq, (block.stop - block.start, nx)))))
+        def sum_sq(sq, n):
+            return float(np.sum(np.ascontiguousarray(np.broadcast_to(sq, (n, nx)))))
 
         for sums, r, m in zip(self.sums, rs, self.peak(rows, [np.abs(r) for r in rs])):
             sq = r * r
+            by_rows: dict[int, tuple] = {}
             for block in _row_blocks(rows.stop - rows.start, nx):
-                total = sum_sq(sq, block)
-                scaled = sum_sq(np.square(r / m), block) if math.isinf(total) else None
-                sums.append((total, m, scaled))
+                n = block.stop - block.start
+                if n not in by_rows:
+                    total = sum_sq(sq, n)
+                    scaled = sum_sq(np.square(r / m), n) if math.isinf(total) else None
+                    by_rows[n] = (total, m, scaled)
+                sums.append(by_rows[n])
 
     def l2(self, k: int) -> float:
         """Root of residual k's summed squares.  When the total overflows,

@@ -34,6 +34,8 @@ def test_change_metrics_carry_median_change_and_bound_check():
     wall = summary["change"]["wall_s"]
     # change median 1.32 against parent median 1.1: 20% worse, bound 0.25
     assert wall["median_change"] == pytest.approx(0.2)
+    # pairs 1.21 / 1.0 and 1.43 / 1.2: +21% and about +19.2%
+    assert wall["paired_median_change"] == pytest.approx((0.21 + 0.23 / 1.2) / 2)
     assert wall["within_bound"] is True
     assert (wall["pairs"], wall["wins"], wall["losses"]) == (2, 0, 2)
     # the parent's quartiles 0.95 and 1.25 spread 27% of its median, over the bound
@@ -41,10 +43,12 @@ def test_change_metrics_carry_median_change_and_bound_check():
     rss = summary["change"]["peak_rss_mb"]
     # 6% worse against the bound 0.05
     assert rss["median_change"] == pytest.approx(0.06)
+    assert rss["paired_median_change"] == pytest.approx(0.06)
     assert rss["within_bound"] is False
     # the parent's runs do not spread, so the 6% is resolved
     assert rss["unresolved"] is False
     assert "median_change" not in summary["parent"]["wall_s"]
+    assert "paired_median_change" not in summary["parent"]["wall_s"]
     assert summary["change"]["failed_operations"] == 0
     assert summary["parent"]["passes"]["median"] == 3
     assert (summary["parent"]["src_lines"], summary["change"]["src_lines"]) == (2800, 2784)
@@ -66,5 +70,19 @@ def test_median_change_is_negative_when_a_higher_is_better_metric_rises(monkeypa
     monkeypatch.setitem(bench_record.BENCHMARK, "end_to_end", end_to_end)
     wall = bench_record._summary(RUNS)["exact-check"]["change"]["wall_s"]
     assert wall["median_change"] == pytest.approx(-0.2)
+    assert wall["paired_median_change"] == pytest.approx(-(0.21 + 0.23 / 1.2) / 2)
     assert wall["within_bound"] is True
     assert (wall["wins"], wall["losses"]) == (2, 0)
+
+
+def test_paired_median_change_follows_each_pair_not_the_medians():
+    # each change run is 10% faster than its own parent run, on a host whose
+    # speed drifts; a change run without a parent (seed 4) moves the median
+    # change to -5.5% but is left out of the pairs
+    runs = [_run("parent", 1, 1.0, 100.0), _run("change", 1, 0.9, 100.0),
+            _run("parent", 2, 2.0, 100.0), _run("change", 2, 1.8, 100.0),
+            _run("parent", 3, 2.2, 100.0), _run("change", 3, 1.98, 100.0),
+            _run("change", 4, 5.0, 100.0)]
+    wall = bench_record._summary(runs)["exact-check"]["change"]["wall_s"]
+    assert wall["paired_median_change"] == pytest.approx(-0.1)
+    assert wall["median_change"] == pytest.approx((1.89 - 2.0) / 2.0)

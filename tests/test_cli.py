@@ -620,6 +620,25 @@ class TestCsvWriter:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+    # tables of 2.5 blocks, so each ends in a partial block, whose last
+    # column's cells carry the CRLF: a lone column, and int or str last
+    @pytest.mark.parametrize("last", [None, "int", "str"])
+    def test_last_column_carries_the_line_end(self, tmp_path, last):
+        rng = np.random.default_rng(11)
+        n = CSV_BLOCK_ROWS * 5 // 2
+        ks = rng.standard_normal(n)
+        ks[rng.permutation(n)[:len(EXTREMES)]] = EXTREMES
+        tail = {
+            None: [],
+            "int": [rng.integers(-2**62, 2**62, n)],
+            "str": [np.array([f"row-{i}" for i in range(n)])],
+        }[last]
+        header = ["k"] + ["tail"] * len(tail)
+        _write_csv(tmp_path / "new.csv", header, ks, *tail)
+        _write_reference_csv(tmp_path / "ref.csv", header, zip(ks, *tail))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestOutputSection:
     def test_format_json_from_config(self, capsys):
         code = main(["list", "--param", "output.format=json"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhnx import core
+from fhnx import core, simulate
 from fhnx.core import (
     _BLOCK_SAMPLES,
     BlowUp,
@@ -23,6 +23,7 @@ from fhnx.core import (
 )
 from fhnx.simulate import (
     SimConfig,
+    _check_blowup,
     _states,
     _Stepper,
     convergence_study,
@@ -110,6 +111,58 @@ class TestStep:
             run(huge, FIG1, cfg)
         assert err.value.step == 1
         assert err.value.t == grid.ts()[1]
+
+
+    @pytest.mark.parametrize(
+        "bad_u,bad_v,magnitude",
+        [(None, math.nan, math.nan), (math.nan, None, math.nan), (math.inf, math.nan, math.nan),
+         (None, -math.inf, math.inf), (2e6, None, 2e6)],
+    )
+    def test_blowup_check_sees_either_field(self, bad_u, bad_v, magnitude):
+        # Python's max(5.0, nan) is 5.0: a NaN in v alone once passed
+        u, v = np.ones(5), np.full(5, 5.0)
+        if bad_u is not None:
+            u[2] = bad_u
+        if bad_v is not None:
+            v[2] = bad_v
+        with pytest.raises(BlowUp) as err:
+            _check_blowup(u, v, 3, 0.5)
+        assert (err.value.step, err.value.t) == (3, 0.5)
+        if math.isnan(magnitude):
+            assert math.isnan(err.value.magnitude)
+        else:
+            assert err.value.magnitude == magnitude
+
+    def test_blowup_check_passes_the_bound_itself(self):
+        _check_blowup(np.full(3, -1e6), np.full(3, 1e6), 1, 0.0)
+
+
+class TestStencil:
+    """rk4's Laplacian, D / dx**2 folded into three taps, against the ordered
+    elementwise sum: a BLAS or FMA path that moves a byte fails here."""
+
+    @pytest.mark.parametrize("nx", [3, 26, 101, 1601])
+    def test_laplacian_is_the_ordered_three_tap_sum(self, monkeypatch, nx):
+        grid = cfl_grid(nx, 0.01)
+        stepper = _Stepper(FIG1, SimConfig(grid=grid, bc="periodic"),
+                           make_family("FixedPointZero", FIG1))
+        # with v = 0 and no reaction term, u_t is the Laplacian alone
+        monkeypatch.setattr(simulate, "g", np.zeros_like)
+        rng = np.random.default_rng(nx)
+        u = rng.standard_normal(nx) * 10.0 ** rng.integers(-3, 4, nx)
+        du, _ = stepper._rhs(0, 0, u, np.zeros(nx))
+        a = FIG1.D / grid.dx**2
+        w = np.concatenate((u[-1:], u, u[:1]))
+        want = (w[:-2] * a + w[1:-1] * (-2.0 * a)) + w[2:] * a
+        assert np.array_equal(du, want)
+        # the data tell this sum from the unfolded D * (u[i-1] - 2 u[i] + u[i+1]) / dx**2
+        assert not np.array_equal(du, FIG1.D * ((w[:-2] - 2.0 * u + w[2:]) / grid.dx**2))
+
+    def test_periodic_constant_state_keeps_zero_error(self):
+        fam = make_family("FixedPointPlus", FIG1)
+        grid = Grid(x_min=-3.0, x_max=3.0, nx=101, t_min=0.0, t_max=0.5, nt=2001)
+        result = run(fam, FIG1, SimConfig(grid=grid, bc="periodic"), trajectory=False)
+        assert np.all(result.errors == 0.0)
 
 
 class TestRun:

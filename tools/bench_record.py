@@ -18,7 +18,10 @@ up to date.  The summary holds, per workload, label and end-to-end metric,
 the median and quartiles of the untraced runs and, for the change, the
 pairs (same workload and seed) it wins and loses against the parent, its
 ``median_change`` (change median minus parent median over the parent
-median, signed so that > 0 is worse), ``within_bound`` (whether that is
+median, signed so that > 0 is worse), its ``paired_median_change`` (the
+median over seeds of each pair's change minus parent over the parent,
+signed alike: each pair shares the host's drift, so this figure is the
+steadier of the two), ``within_bound`` (whether ``median_change`` is
 at most the metric's ``bound`` in ``BENCHMARK.json``) and ``unresolved``
 (the parent's own spread, (q3 - q1) over its median, exceeds that bound
 and not every change run beats every parent run: the runs cannot tell the
@@ -134,6 +137,9 @@ def _summary(runs: list[dict]) -> dict:
             entry["pairs"] = len(diffs)
             entry["wins"] = sum(d > 0 for d in diffs)
             entry["losses"] = sum(d < 0 for d in diffs)
+            paired = [sign * (v - base[s]) / base[s] for s, v in by_seed.items() if base.get(s)]
+            if paired:
+                entry["paired_median_change"] = statistics.median(paired)
             base_median = statistics.median(base.values())
             if base_median:
                 bound = metrics[name]["bound"]
