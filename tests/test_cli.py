@@ -619,7 +619,6 @@ class TestCsvWriter:
         )
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-
     # tables of 2.5 blocks, so each ends in a partial block, whose last
     # column's cells carry the CRLF: a lone column, and int or str last
     @pytest.mark.parametrize("last", [None, "int", "str"])

@@ -112,7 +112,6 @@ class TestStep:
         assert err.value.step == 1
         assert err.value.t == grid.ts()[1]
 
-
     @pytest.mark.parametrize(
         "bad_u,bad_v,magnitude",
         [(None, math.nan, math.nan), (math.nan, None, math.nan), (math.inf, math.nan, math.nan),
