@@ -357,7 +357,7 @@ def _cmd_simulate(args, cfg: RunConfig, out: _Outputs | None):
             )
 
     if out is None:
-        sim = run(fam, p, sim_cfg, trajectory=False)
+        sim = run(fam, p, sim_cfg)
     else:
         xs = sim_cfg.grid.xs()
         # trajectory.csv and frames.bin take each block of rows as it is stepped
@@ -369,7 +369,7 @@ def _cmd_simulate(args, cfg: RunConfig, out: _Outputs | None):
                 _csv_rows(traj, ts[:, None], xs, us, vs)
                 _frame_rows(frames, ts, us, vs)
 
-            sim = run(fam, p, sim_cfg, trajectory=False, on_block=write_block)
+            sim = run(fam, p, sim_cfg, on_block=write_block)
         _write_csv(
             out.path("errors.csv"), ["t", "linf_u", "l2_u", "linf_v", "l2_v"], sim.ts, *sim.errors.T
         )

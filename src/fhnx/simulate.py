@@ -53,15 +53,14 @@ Any |u| or |v| beyond 1e6, or not finite, aborts the run with the
 offending step index; the initial state is checked as step 0.
 
 The time loop only steps.  ``run`` pulls the states a block of rows at a
-time (``core._row_blocks``), measures each block's errors as soon as it is
-full and hands the block to an optional callback: the CLI appends it to
-``trajectory.csv`` and ``frames.bin``.  Only a run asked for its
-trajectory keeps the (nt, nx) arrays; otherwise nothing but ts and the
-(nt, 4) error table grow with nt.  ``convergence_study`` keeps only final
-states.  The error pass works in the (u, v) arrays of its one family call
-and the semi-implicit step builds its right-hand sides in place: with no
-other block-sized temporaries, glibc keeps the heap top from block to
-block instead of trimming it and faulting its pages back in.
+time (``core._row_blocks``) into one reused buffer, measures each block's
+errors as soon as it is full and hands the block to an optional callback:
+the CLI appends it to ``trajectory.csv`` and ``frames.bin``.  Nothing but
+ts and the (nt, 4) error table grows with nt.  ``convergence_study`` keeps
+only final states.  The error pass works in the (u, v) arrays of its one
+family call and the semi-implicit step builds its right-hand sides in
+place: with no other block-sized temporaries, glibc keeps the heap top
+from block to block instead of trimming it and faulting its pages back in.
 """
 
 from __future__ import annotations
@@ -293,18 +292,15 @@ def _check_blowup(u: np.ndarray, v: np.ndarray, step_index: int, t: float):
 
 @dataclass(frozen=True)
 class SimResult:
-    """Trajectory plus per-time error norms against the exact family.
+    """Per-time error norms of a run against the exact family.
 
     errors columns: linf_u, l2_u, linf_v, l2_v where l2 is the
     grid-function norm sqrt(dx * sum(err**2)); each block of rows is
-    measured, one family call, as soon as it is stepped.  us and vs are
-    None for a run without a trajectory.
+    measured, one family call, as soon as it is stepped.  The states
+    themselves reach only ``run``'s ``on_block``.
     """
 
     ts: np.ndarray
-    xs: np.ndarray
-    us: np.ndarray | None  # (nt, nx)
-    vs: np.ndarray | None
     errors: np.ndarray  # (nt, 4)
 
     def max_error_u(self) -> float:
@@ -354,35 +350,30 @@ def run(
     p: Params,
     cfg: SimConfig,
     *,
-    trajectory: bool = True,
     on_block: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> SimResult:
-    """Integrate from the family's t_min state to t_max, measuring the errors
-    of each block of rows (``core._row_blocks``) as soon as it is stepped.
-    With ``trajectory`` the blocks are rows of the returned (nt, nx) us and
-    vs; without it one block buffer is reused and us = vs = None.  Each
-    measured block is then passed to ``on_block(ts, us, vs)``, if given, as
-    its rows; those arrays are valid only during the call."""
+    """Integrate from the family's t_min state to t_max a block of rows
+    (``core._row_blocks``) at a time: each block is stepped into one reused
+    buffer, its errors are measured, and it is passed to
+    ``on_block(ts, us, vs)``, if given, as its rows.  Those arrays are valid
+    only during the call, so a caller that keeps the frames copies them."""
     grid = cfg.grid
     ts = grid.ts()
     blocks = _row_blocks(grid.nt, grid.nx)
     errors = np.empty((grid.nt, 4))
-    shape = (grid.nt if trajectory else blocks[0].stop, grid.nx)
+    shape = (blocks[0].stop, grid.nx)
     us, vs = np.empty(shape), np.empty(shape)
     states = _states(ic_family, p, cfg)
     # _check_blowup turns every overflow or NaN into BlowUp, step 0 included
     with np.errstate(over="ignore", invalid="ignore"):
         for block in blocks:
-            # the block's own rows of the trajectory, or the head of the buffer
-            rows = block if trajectory else slice(0, block.stop - block.start)
-            for i, (u, v) in zip(range(rows.start, rows.stop), states):
+            n = block.stop - block.start
+            for i, (u, v) in zip(range(n), states):
                 us[i], vs[i] = u, v
-            errors[block] = _errors(ic_family, grid, ts[block], us[rows], vs[rows])
+            errors[block] = _errors(ic_family, grid, ts[block], us[:n], vs[:n])
             if on_block is not None:
-                on_block(ts[block], us[rows], vs[rows])
-    if not trajectory:
-        us = vs = None
-    return SimResult(ts=ts, xs=grid.xs(), us=us, vs=vs, errors=errors)
+                on_block(ts[block], us[:n], vs[:n])
+    return SimResult(ts=ts, errors=errors)
 
 
 @dataclass(frozen=True)

@@ -38,16 +38,20 @@ REMOVED = {
     "core": ("csqrt", "require_real"),
     "simulate": ("ERROR_BLOCK",),
 }
-# RunConfig accessors whose rules moved into the config loop, and a field
-# nothing read
+# RunConfig accessors whose rules moved into the config loop, a field
+# nothing read, and the (nt, nx) arrays of a run, which streams its frames
+# to on_block
 REMOVED_ATTRIBUTES = {
     ("config", "RunConfig"): ("seed", "output_format", "output_dir"),
     ("solutions", "NonClassicalExp"): ("k",),
+    ("simulate", "SimResult"): ("us", "vs", "xs"),
 }
-# tolerance parameters that no caller set to anything but the module constant
+# tolerance parameters that no caller set to anything but the module
+# constant, and run's switch for keeping the (nt, nx) arrays
 REMOVED_PARAMETERS = {
     ("core", "is_effectively_real"): ("tol",),
     ("stability", "classify_matrix"): ("tol",),
+    ("simulate", "run"): ("trajectory",),
 }
 TRACED_FAMILIES = ("NonClassicalExp", "JacobiSnSteady", "TanhFront", "FixedPointState")
 EVAL_METHODS = ("eval", "eval_derivs", "eval_second_time_derivs")

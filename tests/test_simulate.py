@@ -36,6 +36,19 @@ from fhnx.solutions import FixedPointState, make_family
 FIG1 = Params(D=1.03, epsilon=0.3, beta=2.0, c=0.0)
 
 
+def run_frames(fam, p, cfg):
+    """run() and copies of the (nt, nx) us and vs it streams to on_block,
+    whose arrays are valid only during each call."""
+    us, vs = [], []
+
+    def keep(ts, u, v):
+        us.append(u.copy())
+        vs.append(v.copy())
+
+    out = run(fam, p, cfg, on_block=keep)
+    return out, np.concatenate(us), np.concatenate(vs)
+
+
 def cfl_grid(nx, t_max, x_span=3.0, cfl=0.25, p=FIG1):
     """Grid whose dt satisfies the explicit bound with margin."""
     dx = 2.0 * x_span / (nx - 1)
@@ -80,17 +93,17 @@ class TestStep:
     def test_zero_state_preserved_exactly(self):
         cfg = SimConfig(grid=one_step_grid(cfl_grid(41, 0.01)))
         fam = make_family("FixedPointZero", FIG1)
-        out = run(fam, FIG1, cfg)
-        assert np.all(out.us[1] == 0.0) and np.all(out.vs[1] == 0.0)
+        _, us, vs = run_frames(fam, FIG1, cfg)
+        assert np.all(us[1] == 0.0) and np.all(vs[1] == 0.0)
 
     def test_nonzero_fixed_point_step_drift(self):
         grid = one_step_grid(cfl_grid(41, 0.01))
         cfg = SimConfig(grid=grid)
         fam = make_family("FixedPointPlus", FIG1)
         u0, v0 = fam.eval(0.0, grid.xs())
-        out = run(fam, FIG1, cfg)
-        assert np.max(np.abs(out.us[1] - u0)) < 1e-12
-        assert np.max(np.abs(out.vs[1] - v0)) < 1e-12
+        _, us, vs = run_frames(fam, FIG1, cfg)
+        assert np.max(np.abs(us[1] - u0)) < 1e-12
+        assert np.max(np.abs(vs[1] - v0)) < 1e-12
 
     def test_single_step_error_at_local_truncation(self):
         # exact data + exact boundaries: one step leaves O(dt * dx^2)
@@ -98,9 +111,9 @@ class TestStep:
         grid = one_step_grid(cfl_grid(101, 0.01))
         cfg = SimConfig(grid=grid)
         xs = grid.xs()
-        out = run(fam, FIG1, cfg)
+        _, us, _ = run_frames(fam, FIG1, cfg)
         ue, _ = fam.eval(grid.dt, xs)
-        err = np.max(np.abs(out.us[1] - ue))
+        err = np.max(np.abs(us[1] - ue))
         assert err < 10.0 * grid.dt * grid.dx**2
 
     def test_blowup_detection(self):
@@ -160,7 +173,7 @@ class TestStencil:
     def test_periodic_constant_state_keeps_zero_error(self):
         fam = make_family("FixedPointPlus", FIG1)
         grid = Grid(x_min=-3.0, x_max=3.0, nx=101, t_min=0.0, t_max=0.5, nt=2001)
-        result = run(fam, FIG1, SimConfig(grid=grid, bc="periodic"), trajectory=False)
+        result = run(fam, FIG1, SimConfig(grid=grid, bc="periodic"))
         assert np.all(result.errors == 0.0)
 
 
@@ -209,8 +222,8 @@ class TestRun:
         # the machinery integrates stably on a short window
         fam = make_family("NonClassicalExp", FIG1)
         grid = cfl_grid(64, 0.05)
-        result = run(fam, FIG1, SimConfig(grid=grid, bc="periodic"))
-        assert np.isfinite(result.us).all()
+        _, us, _ = run_frames(fam, FIG1, SimConfig(grid=grid, bc="periodic"))
+        assert np.isfinite(us).all()
 
     def test_semi_implicit_periodic_zero_state(self):
         fam = make_family("FixedPointZero", FIG1)
@@ -369,11 +382,11 @@ class TestBoundaryTraces:
 
         grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.5, nt=41)
         assert grid.nt * grid.nx <= _BLOCK_SAMPLES
-        out = run(Counting(), FIG1, SimConfig(grid=grid, scheme=scheme))
-        ts, xs, ends = out.ts, out.xs, [0, -1]
+        out, us, vs = run_frames(Counting(), FIG1, SimConfig(grid=grid, scheme=scheme))
+        ts, xs, ends = out.ts, grid.xs(), [0, -1]
         ue, ve = fam.eval(ts[1:, None], xs[ends])
-        assert np.all(out.us[1:, ends] == ue)
-        assert np.all(out.vs[1:, ends] == ve)
+        assert np.all(us[1:, ends] == ue)
+        assert np.all(vs[1:, ends] == ve)
         # the grid has a row where t_n + dt, one ulp off ts[n + 1], moves an
         # end value, so the ends tell the two time lattices apart
         lattice_u, lattice_v = fam.eval(ts[:-1, None] + grid.dt, xs[ends])
@@ -388,7 +401,7 @@ class TestBoundaryTraces:
         fam = make_family("NonClassicalExp", FIG1)
         grid = Grid(x_min=-3.0, x_max=3.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
         cfg = SimConfig(grid=grid, scheme=scheme)
-        whole = run(fam, FIG1, cfg)
+        whole, whole_us, whole_vs = run_frames(fam, FIG1, cfg)
         trace_calls = []
 
         class Counting:
@@ -398,9 +411,9 @@ class TestBoundaryTraces:
                 return fam.eval(t, x)
 
         monkeypatch.setattr(core, "_BLOCK_SAMPLES", 8)
-        chunked = run(Counting(), FIG1, cfg)
+        chunked, us, vs = run_frames(Counting(), FIG1, cfg)
         assert np.array_equal(chunked.errors, whole.errors)
-        assert np.array_equal(chunked.us, whole.us) and np.array_equal(chunked.vs, whole.vs)
+        assert np.array_equal(us, whole_us) and np.array_equal(vs, whole_vs)
         # one call per stage offset the scheme reads and chunk of four steps
         stages = {"rk4": 2, "semi-implicit": 1}[scheme]
         assert trace_calls == [4] * (stages * 10)
@@ -433,12 +446,12 @@ class TestErrorPass:
     """The blocked error pass against the per-row formula, bit for bit."""
 
     @staticmethod
-    def per_row(fam, grid, out):
+    def per_row(fam, grid, ts, us, vs):
         rows = []
         for i in range(grid.nt):
-            ue, ve = fam.eval(out.ts[i], out.xs)
-            eu = out.us[i] - ue
-            ev = out.vs[i] - ve
+            ue, ve = fam.eval(ts[i], grid.xs())
+            eu = us[i] - ue
+            ev = vs[i] - ve
             rows.append((
                 float(np.max(np.abs(eu))),
                 float(np.sqrt(grid.dx * np.sum(eu * eu))),
@@ -447,7 +460,6 @@ class TestErrorPass:
             ))
         return np.array(rows)
 
-    @pytest.mark.parametrize("trajectory", [True, False])
     @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
     @pytest.mark.parametrize("nx, t_max, block", [
@@ -457,7 +469,7 @@ class TestErrorPass:
         (101, 0.25, _BLOCK_SAMPLES),  # the package's own block size
     ])
     def test_blocks_match_per_row_formula(
-        self, monkeypatch, scheme, bc, nx, t_max, block, trajectory
+        self, monkeypatch, scheme, bc, nx, t_max, block
     ):
         monkeypatch.setattr(core, "_BLOCK_SAMPLES", block)
         fam = make_family("NonClassicalExp", FIG1)
@@ -466,14 +478,12 @@ class TestErrorPass:
         # several blocks, the last one partial, or one row per block
         assert rows == 1 or (grid.nt > 3 * rows and grid.nt % rows)
         cfg = SimConfig(grid=grid, scheme=scheme, bc=bc)
-        full = run(fam, FIG1, cfg)
-        ref = self.per_row(fam, grid, full)
+        full, us, vs = run_frames(fam, FIG1, cfg)
+        ref = self.per_row(fam, grid, full.ts, us, vs)
         assert np.any(ref[1:] > 0.0)
-        out = run(fam, FIG1, cfg, trajectory=trajectory)
-        assert (out.us is None and out.vs is None) == (not trajectory)
+        out = run(fam, FIG1, cfg)
         assert np.array_equal(out.errors, ref)
         np.testing.assert_array_equal(out.ts, full.ts)
-        np.testing.assert_array_equal(out.xs, full.xs)
 
     @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
@@ -483,26 +493,22 @@ class TestErrorPass:
         monkeypatch.setattr(core, "_BLOCK_SAMPLES", 123)
         fam = make_family("NonClassicalExp", FIG1)
         cfg = SimConfig(grid=cfl_grid(41, 0.05), scheme=scheme, bc=bc)
-        out = run(fam, FIG1, cfg)
+        _, us, vs = run_frames(fam, FIG1, cfg)
         states = [(u.copy(), v.copy()) for u, v in _states(fam, FIG1, cfg)]
-        assert out.us.tobytes() == np.stack([u for u, _ in states]).tobytes()
-        assert out.vs.tobytes() == np.stack([v for _, v in states]).tobytes()
+        assert us.tobytes() == np.stack([u for u, _ in states]).tobytes()
+        assert vs.tobytes() == np.stack([v for _, v in states]).tobytes()
 
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
-    def test_blowup_in_a_later_block_is_reported_alike(self, monkeypatch, bc):
+    def test_blowup_in_a_later_block_is_reported(self, monkeypatch, bc):
         # two rows per block; the overshooting reaction blows up at step 6,
         # in the fourth block, after three blocks were measured
         monkeypatch.setattr(core, "_BLOCK_SAMPLES", 22)
         grid = Grid(x_min=-1.0, x_max=1.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
         cfg = SimConfig(grid=grid, scheme="semi-implicit", bc=bc)
         fam = FixedPointState(tag="Overshoot", u_star=24.6, v_star=0.0)
-        raised = []
-        for trajectory in (True, False):
-            with pytest.raises(BlowUp) as err:
-                run(fam, FIG1, cfg, trajectory=trajectory)
-            raised.append((err.value.step, err.value.t, err.value.magnitude, str(err.value)))
-        assert raised[0] == raised[1]
-        assert raised[0][0] >= 6
+        with pytest.raises(BlowUp) as err:
+            run(fam, FIG1, cfg)
+        assert err.value.step >= 6
 
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
     def test_peak_memory_without_trajectory_does_not_grow_with_nt(self, bc):
@@ -512,10 +518,10 @@ class TestErrorPass:
         def peak(nt):
             grid = Grid(x_min=-3.0, x_max=3.0, nx=401, t_min=0.0, t_max=0.5, nt=nt)
             cfg = SimConfig(grid=grid, scheme="semi-implicit", bc=bc)
-            run(fam, FIG1, cfg, trajectory=False)  # warm up lazy imports and caches
+            run(fam, FIG1, cfg)  # warm up lazy imports and caches
             tracemalloc.start()
             try:
-                run(fam, FIG1, cfg, trajectory=False)
+                run(fam, FIG1, cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -543,9 +549,9 @@ class TestErrorPass:
                             ("FixedPointPlus", "periodic")):
                 fam = make_family(tag, p)
                 cfg = SimConfig(grid=grid, scheme="semi-implicit", bc=bc)
-                run(fam, p, cfg, trajectory=False)  # warm up lazy imports and caches
+                run(fam, p, cfg)  # warm up lazy imports and caches
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                run(fam, p, cfg, trajectory=False)
+                run(fam, p, cfg)
                 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -560,14 +566,14 @@ class TestFrames:
     def test_round_trip(self, tmp_path):
         fam = make_family("NonClassicalExp", FIG1)
         grid = cfl_grid(33, 0.02)
-        result = run(fam, FIG1, SimConfig(grid=grid))
+        result, us, vs = run_frames(fam, FIG1, SimConfig(grid=grid))
         path = tmp_path / "frames.bin"
-        write_frames(path, result.ts, result.xs, result.us, result.vs)
-        ts, xs, us, vs = read_frames(path)
+        write_frames(path, result.ts, grid.xs(), us, vs)
+        ts, xs, us_read, vs_read = read_frames(path)
         np.testing.assert_array_equal(ts, result.ts)
-        np.testing.assert_array_equal(xs, result.xs)
-        np.testing.assert_array_equal(us, result.us)
-        np.testing.assert_array_equal(vs, result.vs)
+        np.testing.assert_array_equal(xs, grid.xs())
+        np.testing.assert_array_equal(us_read, us)
+        np.testing.assert_array_equal(vs_read, vs)
 
     def test_magic_header(self, tmp_path):
         path = tmp_path / "frames.bin"
