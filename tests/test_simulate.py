@@ -460,6 +460,7 @@ class TestErrorPass:
             ))
         return np.array(rows)
 
+    @pytest.mark.parametrize("streamed", [True, False])
     @pytest.mark.parametrize("scheme", ["rk4", "semi-implicit"])
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
     @pytest.mark.parametrize("nx, t_max, block", [
@@ -469,7 +470,7 @@ class TestErrorPass:
         (101, 0.25, _BLOCK_SAMPLES),  # the package's own block size
     ])
     def test_blocks_match_per_row_formula(
-        self, monkeypatch, scheme, bc, nx, t_max, block
+        self, monkeypatch, scheme, bc, nx, t_max, block, streamed
     ):
         monkeypatch.setattr(core, "_BLOCK_SAMPLES", block)
         fam = make_family("NonClassicalExp", FIG1)
@@ -481,7 +482,12 @@ class TestErrorPass:
         full, us, vs = run_frames(fam, FIG1, cfg)
         ref = self.per_row(fam, grid, full.ts, us, vs)
         assert np.any(ref[1:] > 0.0)
-        out = run(fam, FIG1, cfg)
+        # the same errors whether or not a caller takes the frames
+        if streamed:
+            out, us_again, vs_again = run_frames(fam, FIG1, cfg)
+            assert np.array_equal(us_again, us) and np.array_equal(vs_again, vs)
+        else:
+            out = run(fam, FIG1, cfg)
         assert np.array_equal(out.errors, ref)
         np.testing.assert_array_equal(out.ts, full.ts)
 
@@ -499,16 +505,21 @@ class TestErrorPass:
         assert vs.tobytes() == np.stack([v for _, v in states]).tobytes()
 
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
-    def test_blowup_in_a_later_block_is_reported(self, monkeypatch, bc):
+    def test_blowup_in_a_later_block_is_reported_alike(self, monkeypatch, bc):
         # two rows per block; the overshooting reaction blows up at step 6,
-        # in the fourth block, after three blocks were measured
+        # in the fourth block, after three blocks were measured, whether or
+        # not the frames go to on_block
         monkeypatch.setattr(core, "_BLOCK_SAMPLES", 22)
         grid = Grid(x_min=-1.0, x_max=1.0, nx=11, t_min=0.0, t_max=0.4, nt=41)
         cfg = SimConfig(grid=grid, scheme="semi-implicit", bc=bc)
         fam = FixedPointState(tag="Overshoot", u_star=24.6, v_star=0.0)
-        with pytest.raises(BlowUp) as err:
-            run(fam, FIG1, cfg)
-        assert err.value.step >= 6
+        raised = []
+        for on_block in (lambda ts, us, vs: None, None):
+            with pytest.raises(BlowUp) as err:
+                run(fam, FIG1, cfg, on_block=on_block)
+            raised.append((err.value.step, err.value.t, err.value.magnitude, str(err.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] >= 6
 
     @pytest.mark.parametrize("bc", ["dirichlet-from-family", "periodic"])
     def test_peak_memory_without_trajectory_does_not_grow_with_nt(self, bc):
